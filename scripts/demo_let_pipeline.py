@@ -11,7 +11,8 @@ from __future__ import annotations
 import argparse
 
 from zipstrat import letlang as L
-from zipstrat.strategies import apply_tp, full_bu_tp, full_td_tp, innermost, outermost, try_tp
+from zipstrat.cli import positive_int
+from zipstrat.strategies import SCHEMES, apply_tp, scheme
 from zipstrat.zipper import from_zipper
 
 DEFAULT_PROGRAM = """\
@@ -26,7 +27,7 @@ in a + 7 - c
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--program", help="source file (default: the running example)")
-    parser.add_argument("--fuel", type=int, default=100_000)
+    parser.add_argument("--fuel", type=positive_int, default=100_000)
     args = parser.parse_args()
 
     if args.program:
@@ -48,15 +49,10 @@ def main() -> None:
     print()
 
     step = L.program_step()
-    schemes = [
-        ("innermost", innermost(step, args.fuel)),
-        ("outermost", outermost(step, args.fuel)),
-        ("full top-down (one sweep)", try_tp(full_td_tp(step))),
-        ("full bottom-up (one sweep)", try_tp(full_bu_tp(step))),
-    ]
-    for label, strategy in schemes:
+    for name in SCHEMES:
+        strategy = scheme(name, step, args.fuel)
         out = from_zipper(apply_tp(strategy, L.root_zipper(root)))
-        print(f"== optimized, {label} ==")
+        print(f"== optimized, {name} ==")
         print(L.pretty(out))
         print("value:", L.eval_program(out))
         print()

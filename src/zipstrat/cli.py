@@ -20,15 +20,7 @@ from typing import Any
 
 from . import letlang, smells
 from .lexing import ParseError
-from .strategies import (
-    FuelExhaustedError,
-    apply_tp,
-    full_bu_tp,
-    full_td_tp,
-    innermost,
-    outermost,
-    try_tp,
-)
+from .strategies import SCHEMES, FuelExhaustedError, apply_tp, scheme
 from .zipper import export_json, from_zipper
 
 DEFAULT_FUEL = 1_000_000
@@ -46,7 +38,7 @@ def _read_input(path: str) -> str:
         return handle.read()
 
 
-def _positive_int(text: str) -> int:
+def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("fuel must be >= 1")
@@ -60,14 +52,14 @@ def _add_common(parser: argparse.ArgumentParser, *, strategy: bool, fuel: bool, 
     if strategy:
         parser.add_argument(
             "--strategy",
-            choices=["innermost", "outermost", "full-td", "full-bu"],
+            choices=SCHEMES,
             default="innermost",
             help="traversal scheme driving the rules (default: innermost)",
         )
     if fuel:
         parser.add_argument(
             "--fuel",
-            type=_positive_int,
+            type=positive_int,
             default=DEFAULT_FUEL,
             metavar="N",
             help=f"maximum number of rewrites (default: {DEFAULT_FUEL})",
@@ -138,15 +130,7 @@ def _cmd_let_check(args: argparse.Namespace) -> int:
 
 def _cmd_let_opt(args: argparse.Namespace) -> int:
     root = letlang.parse(_read_input(args.input))
-    step = letlang.program_step()
-    if args.strategy == "innermost":
-        strategy = innermost(step, args.fuel)
-    elif args.strategy == "outermost":
-        strategy = outermost(step, args.fuel)
-    elif args.strategy == "full-td":
-        strategy = try_tp(full_td_tp(step))
-    else:
-        strategy = try_tp(full_bu_tp(step))
+    strategy = scheme(args.strategy, letlang.program_step(), args.fuel)
     optimized = from_zipper(apply_tp(strategy, letlang.root_zipper(root)))
     _emit_tree(args, optimized, letlang.LANG, letlang.pretty)
     return EXIT_OK

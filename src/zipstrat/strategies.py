@@ -9,17 +9,21 @@ Two strategy shapes cover rewriting and querying:
   value in a monoid, so traversals can merge per-node results.
 
 Construction combinators (``adhoc``/``mono``) lift ordinary functions on
-node types into strategies; traversal schemes (``full``/``once``/``stop``
-in top-down and bottom-up flavours) control where a strategy is applied
-within the subtree under the focus.  ``innermost``/``outermost`` iterate a
-one-shot search to a fixed point and accept an optional rewrite budget
-("fuel") that turns divergent rule sets into a loud error.
+node types into strategies.  The twelve traversals apply a strategy within
+the subtree under the focus; each calls one kernel per shape with an order
+(``td`` visits a node before its children, ``bu`` after; children go left
+to right) and a policy for what a success does: ``full`` carries on,
+``stop`` prunes (in ``td`` the node's descendants, in ``bu`` every node
+above it) and ``once`` ends the traversal.  ``innermost``/``outermost``
+iterate a one-shot search to a fixed point within an optional rewrite
+budget ("fuel"), so divergent rule sets fail loudly; :func:`scheme` builds
+the four whole-tree schemes of :data:`SCHEMES`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional, TypeVar
+from typing import Any, Callable, Optional, TypeVar
 
 from .zipper import Zipper
 
@@ -85,12 +89,7 @@ def fail_tu(monoid: Monoid = LIST_MONOID) -> TU:
 
 def try_tp(s: TP) -> TP:
     """Apply ``s`` if possible; keep the input otherwise.  Never fails."""
-
-    def run(z: Zipper) -> Zipper:
-        r = s(z)
-        return z if r is None else r
-
-    return run
+    return choice_tp(s, id_tp)
 
 
 def repeat_tp(s: TP, fuel: int | None = None) -> TP:
@@ -126,16 +125,7 @@ def repeat_tp(s: TP, fuel: int | None = None) -> TP:
 
 def adhoc_tp(base: TP, typ: type, f: Callable[[T], T | None]) -> TP:
     """Extend ``base`` with ``f``, applied when the focus is a ``typ``."""
-
-    def run(z: Zipper) -> Zipper | None:
-        v = z.get_hole(typ)
-        if v is not None:
-            r = f(v)
-            if r is not None:
-                return z.trans_m(lambda _cur: r)
-        return base(z)
-
-    return run
+    return adhoc_tpz(base, typ, lambda v, _z: f(v))
 
 
 def adhoc_tpz(base: TP, typ: type, f: Callable[[T, Zipper], T | None]) -> TP:
@@ -162,15 +152,7 @@ def mono_tpz(typ: type, f: Callable[[T, Zipper], T | None]) -> TP:
 
 
 def adhoc_tu(base: TU, typ: type, f: Callable[[T], D | None]) -> TU:
-    def run(z: Zipper) -> Any | None:
-        v = z.get_hole(typ)
-        if v is not None:
-            r = f(v)
-            if r is not None:
-                return r
-        return base(z)
-
-    return TU(run, base.monoid)
+    return adhoc_tuz(base, typ, lambda v, _z: f(v))
 
 
 def adhoc_tuz(base: TU, typ: type, f: Callable[[T, Zipper], D | None]) -> TU:
@@ -241,115 +223,67 @@ def seq_tu(a: TU, b: TU) -> TU:
 
 
 def choice_tu(a: TU, b: TU) -> TU:
-    def run(z: Zipper) -> Any | None:
-        r = a(z)
-        return r if r is not None else b(z)
-
-    return TU(run, a.monoid)
+    return TU(choice_tp(a, b), a.monoid)
 
 
-# -- one-step traversal combinators -------------------------------------------
+# -- traversal schemes ------------------------------------------------------------
 
 
-def all_tp_down(s: TP) -> TP:
-    """Apply ``s`` at the leftmost child and restore focus; succeed when childless."""
+def _tp(s: TP, order: str, policy: str) -> TP:
+    """The TP kernel; a subtree where nothing succeeded yields ``None`` and is not rebuilt."""
 
-    def run(z: Zipper) -> Zipper | None:
-        c = z.down_left()
-        if c is None:
-            return z
-        r = s(c)
-        return None if r is None else r.up()
+    def go(z: Zipper) -> Zipper | None:
+        r = s(z) if order == "td" else None
+        if r is not None:
+            if policy != "full":
+                return r
+            z = r
+        here, below, c = r is not None, False, z.down_left()
+        while c is not None:
+            r = go(c)
+            if r is not None:
+                if policy == "once":
+                    return r.up()
+                c, below = r, True
+            last, c = c, c.right()
+        if below:
+            z = last.up()
+        if order == "bu" and not (below and policy == "stop"):
+            r = s(z)
+            if r is not None:
+                return r
+        return z if here or below else None
 
-    return run
-
-
-def all_tp_right(s: TP) -> TP:
-    """Apply ``s`` at the right sibling and move back; succeed when there is none."""
-
-    def run(z: Zipper) -> Zipper | None:
-        c = z.right()
-        if c is None:
-            return z
-        r = s(c)
-        return None if r is None else r.left()
-
-    return run
-
-
-def one_tp_down(s: TP) -> TP:
-    """Like :func:`all_tp_down`, but a missing child is a failure."""
-
-    def run(z: Zipper) -> Zipper | None:
-        c = z.down_left()
-        if c is None:
-            return None
-        r = s(c)
-        return None if r is None else r.up()
-
-    return run
+    return go
 
 
-def one_tp_right(s: TP) -> TP:
-    def run(z: Zipper) -> Zipper | None:
-        c = z.right()
-        if c is None:
-            return None
-        r = s(c)
-        return None if r is None else r.left()
+def _tu(s: TU, order: str, policy: str) -> TU:
+    """The TU kernel; ``go`` yields ``None`` where no node of the subtree succeeded."""
+    m = s.monoid
 
-    return run
-
-
-def all_tu_down(s: TU) -> TU:
-    """``s`` at the leftmost child; a missing child contributes the identity."""
+    def go(z: Zipper) -> Any | None:
+        r = s(z) if order == "td" else None
+        if r is not None and policy != "full":
+            return r
+        acc, c = r, z.down_left()
+        while c is not None:
+            d = go(c)
+            if d is not None:
+                if policy == "once":
+                    return d
+                acc = d if acc is None else m.combine(acc, d)
+            c = c.right()
+        if order == "bu" and (acc is None or policy == "full"):
+            r = s(z)
+            if r is not None:
+                acc = r if acc is None else m.combine(acc, r)
+        return acc
 
     def run(z: Zipper) -> Any | None:
-        c = z.down_left()
-        if c is None:
-            return s.monoid.empty()
-        return s(c)
+        acc = go(z)
+        return m.empty() if acc is None and policy != "once" else acc
 
-    return TU(run, s.monoid)
-
-
-def all_tu_right(s: TU) -> TU:
-    def run(z: Zipper) -> Any | None:
-        c = z.right()
-        if c is None:
-            return s.monoid.empty()
-        return s(c)
-
-    return TU(run, s.monoid)
-
-
-# -- full traversal strategies -------------------------------------------------
-#
-# Traversals cover the subtree under the focus: td visits a node before its
-# children, bu after; children are always taken left to right.  Successful
-# results keep the original focus position.
-
-
-def _child_zippers(z: Zipper) -> Iterator[Zipper]:
-    c = z.down_left()
-    while c is not None:
-        yield c
-        c = c.right()
-
-
-def _over_children(go: Callable[[Zipper], tuple[Zipper, bool]], z: Zipper) -> tuple[Zipper, bool]:
-    """Run ``go`` on each child subtree in turn, rebuilding the focus node."""
-    cur = z.down_left()
-    if cur is None:
-        return z, False
-    ok = False
-    while True:
-        cur, one = go(cur)
-        ok = ok or one
-        nxt = cur.right()
-        if nxt is None:
-            return cur.up(), ok
-        cur = nxt
+    return TU(run, m)
 
 
 def full_td_tp(s: TP) -> TP:
@@ -358,37 +292,12 @@ def full_td_tp(s: TP) -> TP:
     Fails only when no node accepted ``s``.  A node is visited before its
     children, so ``s`` sees children produced by its own rewrite above them.
     """
-
-    def go(z: Zipper) -> tuple[Zipper, bool]:
-        ok = False
-        r = s(z)
-        if r is not None:
-            z, ok = r, True
-        z, kids_ok = _over_children(go, z)
-        return z, ok or kids_ok
-
-    def run(z: Zipper) -> Zipper | None:
-        z2, ok = go(z)
-        return z2 if ok else None
-
-    return run
+    return _tp(s, "td", "full")
 
 
 def full_bu_tp(s: TP) -> TP:
     """Postorder counterpart of :func:`full_td_tp`: children first, node last."""
-
-    def go(z: Zipper) -> tuple[Zipper, bool]:
-        z, kids_ok = _over_children(go, z)
-        r = s(z)
-        if r is not None:
-            return r, True
-        return z, kids_ok
-
-    def run(z: Zipper) -> Zipper | None:
-        z2, ok = go(z)
-        return z2 if ok else None
-
-    return run
+    return _tp(s, "bu", "full")
 
 
 def full_td_tu(s: TU) -> TU:
@@ -397,174 +306,58 @@ def full_td_tu(s: TU) -> TU:
     Per-node failures contribute the monoid identity, so the traversal as a
     whole always succeeds.
     """
-
-    m = s.monoid
-
-    def go(z: Zipper) -> Any:
-        acc = s(z)
-        if acc is None:
-            acc = m.empty()
-        for c in _child_zippers(z):
-            acc = m.combine(acc, go(c))
-        return acc
-
-    return TU(go, m)
+    return _tu(s, "td", "full")
 
 
 def full_bu_tu(s: TU) -> TU:
     """Postorder counterpart of :func:`full_td_tu`."""
-
-    m = s.monoid
-
-    def go(z: Zipper) -> Any:
-        acc = m.empty()
-        for c in _child_zippers(z):
-            acc = m.combine(acc, go(c))
-        r = s(z)
-        return acc if r is None else m.combine(acc, r)
-
-    return TU(go, m)
-
-
-# -- once traversal strategies ---------------------------------------------
+    return _tu(s, "bu", "full")
 
 
 def once_td_tp(s: TP) -> TP:
     """Apply ``s`` exactly once, at the leftmost-outermost node that accepts it."""
-
-    def run(z: Zipper) -> Zipper | None:
-        r = s(z)
-        if r is not None:
-            return r
-        for c in _child_zippers(z):
-            r = run(c)
-            if r is not None:
-                return r.up()
-        return None
-
-    return run
+    return _tp(s, "td", "once")
 
 
 def once_bu_tp(s: TP) -> TP:
     """Apply ``s`` exactly once, at the leftmost-innermost node that accepts it."""
-
-    def run(z: Zipper) -> Zipper | None:
-        for c in _child_zippers(z):
-            r = run(c)
-            if r is not None:
-                return r.up()
-        return s(z)
-
-    return run
+    return _tp(s, "bu", "once")
 
 
 def once_td_tu(s: TU) -> TU:
     """The first successful reduction in preorder."""
-
-    def run(z: Zipper) -> Any | None:
-        r = s(z)
-        if r is not None:
-            return r
-        for c in _child_zippers(z):
-            r = run(c)
-            if r is not None:
-                return r
-        return None
-
-    return TU(run, s.monoid)
+    return _tu(s, "td", "once")
 
 
 def once_bu_tu(s: TU) -> TU:
     """The first successful reduction in postorder."""
-
-    def run(z: Zipper) -> Any | None:
-        for c in _child_zippers(z):
-            r = run(c)
-            if r is not None:
-                return r
-        return s(z)
-
-    return TU(run, s.monoid)
-
-
-# -- stop traversal strategies ------------------------------------------------
+    return _tu(s, "bu", "once")
 
 
 def stop_td_tp(s: TP) -> TP:
     """Top-down, but success at a node prunes that node's descendants."""
-
-    def go(z: Zipper) -> tuple[Zipper, bool]:
-        r = s(z)
-        if r is not None:
-            return r, True
-        return _over_children(go, z)
-
-    def run(z: Zipper) -> Zipper | None:
-        z2, ok = go(z)
-        return z2 if ok else None
-
-    return run
+    return _tp(s, "td", "stop")
 
 
 def stop_bu_tp(s: TP) -> TP:
     """Bottom-up, but any success below a node suppresses the node itself."""
-
-    def go(z: Zipper) -> tuple[Zipper, bool]:
-        z, below = _over_children(go, z)
-        if below:
-            return z, True
-        r = s(z)
-        if r is not None:
-            return r, True
-        return z, False
-
-    def run(z: Zipper) -> Zipper | None:
-        z2, ok = go(z)
-        return z2 if ok else None
-
-    return run
+    return _tp(s, "bu", "stop")
 
 
 def stop_td_tu(s: TU) -> TU:
     """Append results top-down, pruning below every node where ``s`` succeeded."""
-
-    m = s.monoid
-
-    def go(z: Zipper) -> Any:
-        r = s(z)
-        if r is not None:
-            return r
-        acc = m.empty()
-        for c in _child_zippers(z):
-            acc = m.combine(acc, go(c))
-        return acc
-
-    return TU(go, m)
+    return _tu(s, "td", "stop")
 
 
 def stop_bu_tu(s: TU) -> TU:
     """Append results bottom-up; a node contributes only if nothing below it did."""
-
-    m = s.monoid
-
-    def go(z: Zipper) -> tuple[Any, bool]:
-        acc = m.empty()
-        below = False
-        for c in _child_zippers(z):
-            d, ok = go(c)
-            acc = m.combine(acc, d)
-            below = below or ok
-        if below:
-            return acc, True
-        r = s(z)
-        if r is not None:
-            return m.combine(acc, r), True
-        return acc, False
-
-    return TU(lambda z: go(z)[0], m)
+    return _tu(s, "bu", "stop")
 
 
-# -- normalization -----------------------------------------------------------
+# -- normalization and application -------------------------------------------
+
+#: The whole-tree rewriting schemes that :func:`scheme` builds.
+SCHEMES = ("innermost", "outermost", "full-td", "full-bu")
 
 
 def innermost(s: TP, fuel: int | None = None) -> TP:
@@ -582,7 +375,19 @@ def outermost(s: TP, fuel: int | None = None) -> TP:
     return repeat_tp(once_td_tp(s), fuel)
 
 
-# -- application -------------------------------------------------------------
+def scheme(name: str, step: TP, fuel: int | None = None) -> TP:
+    """The scheme ``name`` of :data:`SCHEMES` over ``step``; ``full-*`` sweep once."""
+    # Looked up at call time, so a function replaced in this module (by a tracer) is used.
+    match name:
+        case "innermost":
+            return innermost(step, fuel)
+        case "outermost":
+            return outermost(step, fuel)
+        case "full-td":
+            return try_tp(full_td_tp(step))
+        case "full-bu":
+            return try_tp(full_bu_tp(step))
+    raise ValueError(f"unknown scheme {name!r}; expected one of {', '.join(SCHEMES)}")
 
 
 def apply_tp(s: TP, z: Zipper) -> Zipper | None:

@@ -37,10 +37,6 @@ from zipstrat.strategies import (
     TU,
     adhoc_tp,
     adhoc_tu,
-    all_tp_down,
-    all_tp_right,
-    all_tu_down,
-    all_tu_right,
     apply_tp,
     apply_tu,
     choice_tp,
@@ -62,8 +58,6 @@ from zipstrat.strategies import (
     once_bu_tu,
     once_td_tp,
     once_td_tu,
-    one_tp_down,
-    one_tp_right,
     outermost,
     repeat_tp,
     seq_tp,
@@ -74,7 +68,7 @@ from zipstrat.strategies import (
     stop_td_tu,
     try_tp,
 )
-from zipstrat.zipper import from_zipper, to_zipper
+from zipstrat.zipper import Language, from_zipper, to_zipper
 
 B_PLUS_ZERO = Add(Var("b"), Const(0))
 
@@ -204,55 +198,30 @@ def test_choice_tu_first_success():
     assert apply_tu(choice_tu(fail_tu(), const_tu([2])), z) == [2]
 
 
-# -- one-step traversal combinators ------------------------------------------------
+# -- failing searches ----------------------------------------------------------
+
+TRAVERSALS = [
+    full_td_tp, full_bu_tp, once_td_tp, once_bu_tp, stop_td_tp, stop_bu_tp,
+    full_td_tu, full_bu_tu, once_td_tu, once_bu_tu, stop_td_tu, stop_bu_tu,
+]
 
 
-def test_all_tp_right_without_sibling_succeeds():
-    z = zipper_of(RUNNING)  # root: no siblings
-    assert all_tp_right(fail_tp)(z) == z
+@pytest.mark.parametrize("traversal", TRAVERSALS, ids=lambda t: t.__name__)
+def test_failing_search_rebuilds_nothing(traversal, monkeypatch):
+    rebuilds = []
+    rebuild = Language.rebuild
 
+    def counting(self, tag, children):
+        rebuilds.append(tag)
+        return rebuild(self, tag, children)
 
-def test_all_tp_right_applies_and_returns():
-    z = zipper_of(Add(Var("x"), B_PLUS_ZERO)).down_left()
-    out = all_tp_right(arith())(z)
-    assert out.position == z.position
-    assert out.focus == Var("x")
-    assert from_zipper(out) == Add(Var("x"), Var("b"))
-
-
-def test_all_tp_down_failure_propagates():
-    z = zipper_of(Neg(Var("x")))
-    assert all_tp_down(arith())(z) is None
-    # a childless focus succeeds unchanged
-    childless = zipper_of(EmptyList())
-    assert all_tp_down(fail_tp)(childless) == childless
-
-
-def test_one_tp_down_at_leaf_fails():
-    z = zipper_of(Const(1)).down_left()  # the int leaf
-    assert one_tp_down(id_tp)(z) is None
-    assert one_tp_right(id_tp)(zipper_of(RUNNING)) is None
-
-
-def test_one_tp_right_applies():
-    z = zipper_of(Add(Var("x"), B_PLUS_ZERO)).down_left()
-    out = one_tp_right(arith())(z)
-    assert from_zipper(out) == Add(Var("x"), Var("b"))
-
-
-def test_all_tu_down_missing_child_is_identity():
-    z = zipper_of(Const(1)).down_left()
-    assert apply_tu(all_tu_down(select_tu), z) == []
-
-
-def test_all_tu_right():
-    # no right sibling: the identity element
-    assert apply_tu(all_tu_right(select_tu), zipper_of(RUNNING)) == []
-    decls = zipper_of(RUNNING).down_left()
-    # the right sibling is the body, where the list reduction fails
-    assert apply_tu(all_tu_right(select_tu), decls) is None
-    # and where an expression reduction succeeds
-    assert apply_tu(all_tu_right(mono_tu(Exp, lambda _e: [1])), decls) == [1]
+    monkeypatch.setattr(Language, "rebuild", counting)
+    z = zipper_of(RUNNING_ROOT)
+    if traversal.__name__.endswith("_tp"):
+        assert traversal(fail_tp)(z) is None
+    else:
+        assert traversal(fail_tu())(z) in (None, [])
+    assert rebuilds == []
 
 
 # -- full traversals -----------------------------------------------------------
@@ -445,10 +414,6 @@ COMBINATORS = [
     ("repeat", lambda s: repeat_tp(s, fuel=10_000)),
     ("seq", lambda s: seq_tp(s, id_tp)),
     ("choice", lambda s: choice_tp(s, fail_tp)),
-    ("all_down", all_tp_down),
-    ("all_right", all_tp_right),
-    ("one_down", one_tp_down),
-    ("one_right", one_tp_right),
     ("full_td", full_td_tp),
     ("full_bu", full_bu_tp),
     ("once_td", once_td_tp),
