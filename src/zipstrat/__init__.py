@@ -1,6 +1,5 @@
 """Strategic term rewriting and attribute grammars over a generic tree zipper."""
 
-from .ag import AGTree, constructor_of
 from .zipper import (
     ChildIndexError,
     ConstructorTag,
@@ -22,7 +21,6 @@ from .zipper import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AGTree",
     "ChildIndexError",
     "ConstructorTag",
     "Context",
@@ -32,7 +30,6 @@ __all__ = [
     "RegistrationError",
     "TypePreservationError",
     "Zipper",
-    "constructor_of",
     "export_ast",
     "export_json",
     "from_zipper",

@@ -8,8 +8,8 @@ Subcommands::
     zipstrat let pretty     reprint in canonical layout
     zipstrat smell fix      rewrite a mini-language expression smell-free
 
-Exit codes: 0 success, 1 syntax error, 2 scope errors, 3 rewrite budget
-exhausted.  Diagnostics go to standard error.
+Exit codes: 0 success, 1 syntax error or unreadable input, 2 scope errors,
+3 rewrite budget exhausted.  Diagnostics go to standard error.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
     except FuelExhaustedError as exc:
         print(f"rewrite budget exhausted: {exc}", file=sys.stderr)
         return EXIT_FUEL
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_SYNTAX
 

@@ -14,6 +14,7 @@ produces a fresh value, so sharing across threads is safe.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import typing
 from dataclasses import dataclass, field
@@ -21,7 +22,6 @@ from typing import Any, Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 
-# bool listed before int: bool is an int subtype in Python and must win.
 _LEAF_TYPES: tuple[type, ...] = (bool, int, str)
 
 
@@ -67,17 +67,11 @@ class _CtorSpec:
     cls: type
     base: type
     fields: tuple[_FieldSpec, ...]
-
-    @property
-    def variadic(self) -> bool:
-        return any(f.variadic for f in self.fields)
+    variadic: bool
 
 
 def _leaf_kind(value: Any) -> str | None:
-    for t in _LEAF_TYPES:
-        if type(value) is t:
-            return t.__name__
-    return None
+    return type(value).__name__ if type(value) in _LEAF_TYPES else None
 
 
 class Language:
@@ -101,8 +95,9 @@ class Language:
                 raise RegistrationError(f"{cls!r} is not a dataclass type")
             if not issubclass(cls, base):
                 raise RegistrationError(f"{cls.__name__} is not a subclass of {base.__name__}")
-            spec = _CtorSpec(cls, base, self._field_specs(cls))
-            if spec.variadic and len(spec.fields) != 1:
+            fields = self._field_specs(cls)
+            spec = _CtorSpec(cls, base, fields, any(f.variadic for f in fields))
+            if spec.variadic and len(fields) != 1:
                 raise RegistrationError(
                     f"{cls.__name__}: a variadic constructor must have exactly one field"
                 )
@@ -138,98 +133,87 @@ class Language:
     def is_registered(self, value: Any) -> bool:
         return type(value) in self._ctors or _leaf_kind(value) is not None
 
+    def _spec(self, value: Any) -> _CtorSpec | None:
+        """The constructor spec of ``value``; ``None`` for a leaf, loud when unregistered."""
+        spec = self._ctors.get(type(value))
+        if spec is None and _leaf_kind(value) is None:
+            raise RegistrationError(
+                f"value of unregistered type {type(value).__name__}: {value!r}"
+            )
+        return spec
+
     def nominal(self, value: Any) -> type:
         """Runtime type identity of a value: its registered base type, or its leaf type."""
-        spec = self._ctors.get(type(value))
-        if spec is not None:
-            return spec.base
-        if _leaf_kind(value) is not None:
-            return type(value)
-        raise RegistrationError(f"value of unregistered type {type(value).__name__}: {value!r}")
+        spec = self._spec(value)
+        return type(value) if spec is None else spec.base
 
     def tag(self, value: Any) -> ConstructorTag:
-        spec = self._ctors.get(type(value))
+        spec = self._spec(value)
         if spec is None:
-            kind = _leaf_kind(value)
-            if kind is None:
-                raise RegistrationError(
-                    f"value of unregistered type {type(value).__name__}: {value!r}"
-                )
+            kind = type(value).__name__
             return ConstructorTag(kind, kind, 0)
-        return ConstructorTag(spec.base.__name__, spec.cls.__name__, self._arity(spec, value))
-
-    @staticmethod
-    def _arity(spec: _CtorSpec, value: Any) -> int:
-        if spec.variadic:
-            return len(getattr(value, spec.fields[0].name))
-        return len(spec.fields)
+        arity = len(getattr(value, spec.fields[0].name)) if spec.variadic else len(spec.fields)
+        return ConstructorTag(spec.base.__name__, spec.cls.__name__, arity)
 
     def children(self, value: Any) -> list[Any]:
         """Ordered children, counting every constructor argument (leaves included)."""
-        spec = self._ctors.get(type(value))
+        spec = self._spec(value)
         if spec is None:
-            if _leaf_kind(value) is None:
-                raise RegistrationError(
-                    f"value of unregistered type {type(value).__name__}: {value!r}"
-                )
             return []
-        out: list[Any] = []
-        for f in spec.fields:
-            v = getattr(value, f.name)
-            if f.variadic:
-                out.extend(v)
-            else:
-                out.append(v)
-        return out
+        if spec.variadic:
+            return list(getattr(value, spec.fields[0].name))
+        return [getattr(value, f.name) for f in spec.fields]
 
     def rebuild(self, tag: ConstructorTag, children: Sequence[Any]) -> Any:
         """Reassemble a node; fails loudly on child count or child type mismatch."""
         spec = self._by_name.get((tag.type_name, tag.ctor_name))
         if spec is None:
             raise RegistrationError(f"unknown constructor {tag.type_name}.{tag.ctor_name}")
-        kids = list(children)
-        if len(kids) != tag.arity:
+        arity = tag.arity if spec.variadic else len(spec.fields)
+        if len(children) != arity or tag.arity != arity:
             raise RebuildError(
-                f"{tag.ctor_name} expects {tag.arity} children, got {len(kids)}"
+                f"{tag.ctor_name} takes {arity} children;"
+                f" got tag arity {tag.arity} and {len(children)} children"
             )
-        if spec.variadic:
-            f = spec.fields[0]
-            for c in kids:
-                self._check_child(spec, f, c)
-            return spec.cls(tuple(kids))
-        if len(kids) != len(spec.fields):
-            raise RebuildError(
-                f"{tag.ctor_name} expects {len(spec.fields)} children, got {len(kids)}"
-            )
-        for f, c in zip(spec.fields, kids):
+        fields = itertools.repeat(spec.fields[0]) if spec.variadic else spec.fields
+        for f, c in zip(fields, children):
             self._check_child(spec, f, c)
-        return spec.cls(*kids)
+        return spec.cls(tuple(children)) if spec.variadic else spec.cls(*children)
 
     def _check_child(self, spec: _CtorSpec, f: _FieldSpec, child: Any) -> None:
         if f.leaf:
-            if type(child) is not f.typ:
-                raise RebuildError(
-                    f"{spec.cls.__name__}.{f.name} expects {f.typ.__name__},"
-                    f" got {type(child).__name__}"
-                )
-        elif type(child) not in self._ctors or not isinstance(child, f.typ):
+            ok = type(child) is f.typ
+        else:
+            ok = type(child) in self._ctors and isinstance(child, f.typ)
+        if not ok:
             raise RebuildError(
                 f"{spec.cls.__name__}.{f.name} expects {f.typ.__name__},"
                 f" got {type(child).__name__}"
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Context:
-    """One step of the path: the parent's tag plus the focus's siblings.
+    """One step of the path: the parent's tag, its children and the focus's index.
 
-    ``left_rev`` holds the siblings left of the focus nearest-first, so a
-    ``left`` move is O(1); rebuilding the parent is deferred to ``up``.
+    ``kids`` is the parent's children tuple as it was when the frame was made,
+    so a sibling move that changed nothing reuses it.  The slot at ``index``
+    may be stale once the focus has been replaced: :meth:`Zipper.up` and the
+    sibling moves put the current focus there, and equality ignores it.
     """
 
     parent_tag: ConstructorTag
-    left_rev: tuple[Any, ...]
-    right: tuple[Any, ...]
+    kids: tuple[Any, ...]
+    index: int
+
+    def _key(self) -> tuple[Any, ...]:
+        return (self.parent_tag, self.index, self.kids[: self.index], self.kids[self.index + 1 :])
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Context) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -246,43 +230,55 @@ class Zipper:
     path: tuple[Context, ...]
     lang: Language = field(compare=False, repr=False)
 
+    def _down(self, kids: list[Any], index: int) -> Zipper:
+        frame = Context(self.lang.tag(self.focus), tuple(kids), index)
+        return Zipper(kids[index], (frame,) + self.path, self.lang)
+
+    def _sibling(self, step: int) -> Zipper | None:
+        if not self.path:
+            return None
+        ctx = self.path[0]
+        index = ctx.index + step
+        if not 0 <= index < len(ctx.kids):
+            return None
+        kids = ctx.kids
+        if self.focus is not kids[ctx.index]:
+            kids = kids[: ctx.index] + (self.focus,) + kids[ctx.index + 1 :]
+        frame = Context(ctx.parent_tag, kids, index)
+        return Zipper(kids[index], (frame,) + self.path[1:], self.lang)
+
+    def _sib(self, count: int, side: str) -> Zipper:
+        z = self
+        for _ in range(count):
+            z = getattr(z, side)()
+            if z is None:
+                raise NavigationError(f"no sibling {count} positions to the {side}")
+        return z
+
     # -- optional moves ----------------------------------------------------
 
     def down_left(self) -> Zipper | None:
         """Move to the leftmost child."""
         kids = self.lang.children(self.focus)
-        if not kids:
-            return None
-        ctx = Context(self.lang.tag(self.focus), (), tuple(kids[1:]))
-        return Zipper(kids[0], (ctx,) + self.path, self.lang)
+        return self._down(kids, 0) if kids else None
 
     def down_right(self) -> Zipper | None:
         """Move to the rightmost child."""
         kids = self.lang.children(self.focus)
-        if not kids:
-            return None
-        ctx = Context(self.lang.tag(self.focus), tuple(reversed(kids[:-1])), ())
-        return Zipper(kids[-1], (ctx,) + self.path, self.lang)
+        return self._down(kids, len(kids) - 1) if kids else None
 
     def left(self) -> Zipper | None:
-        if not self.path or not self.path[0].left_rev:
-            return None
-        ctx = self.path[0]
-        moved = Context(ctx.parent_tag, ctx.left_rev[1:], (self.focus,) + ctx.right)
-        return Zipper(ctx.left_rev[0], (moved,) + self.path[1:], self.lang)
+        return self._sibling(-1)
 
     def right(self) -> Zipper | None:
-        if not self.path or not self.path[0].right:
-            return None
-        ctx = self.path[0]
-        moved = Context(ctx.parent_tag, (self.focus,) + ctx.left_rev, ctx.right[1:])
-        return Zipper(ctx.right[0], (moved,) + self.path[1:], self.lang)
+        return self._sibling(1)
 
     def up(self) -> Zipper | None:
         if not self.path:
             return None
         ctx = self.path[0]
-        kids = list(reversed(ctx.left_rev)) + [self.focus] + list(ctx.right)
+        kids = list(ctx.kids)
+        kids[ctx.index] = self.focus
         return Zipper(self.lang.rebuild(ctx.parent_tag, kids), self.path[1:], self.lang)
 
     @property
@@ -296,7 +292,7 @@ class Zipper:
         Identifies the focus position independently of subtree content, which
         is what a type-preserving strategy must keep fixed.
         """
-        return tuple(len(ctx.left_rev) for ctx in reversed(self.path))
+        return tuple(ctx.index for ctx in reversed(self.path))
 
     # -- non-optional accessors --------------------------------------------
 
@@ -305,12 +301,7 @@ class Zipper:
         kids = self.lang.children(self.focus)
         if not 1 <= index <= len(kids):
             raise ChildIndexError(f"child index {index} out of range 1..{len(kids)}")
-        ctx = Context(
-            self.lang.tag(self.focus),
-            tuple(reversed(kids[: index - 1])),
-            tuple(kids[index:]),
-        )
-        return Zipper(kids[index - 1], (ctx,) + self.path, self.lang)
+        return self._down(kids, index - 1)
 
     def parent(self) -> Zipper:
         up = self.up()
@@ -320,23 +311,11 @@ class Zipper:
 
     def sib_left(self, count: int = 1) -> Zipper:
         """Move ``count`` siblings to the left."""
-        z = self
-        for _ in range(count):
-            nxt = z.left()
-            if nxt is None:
-                raise NavigationError(f"no sibling {count} positions to the left")
-            z = nxt
-        return z
+        return self._sib(count, "left")
 
     def sib_right(self, count: int = 1) -> Zipper:
         """Move ``count`` siblings to the right."""
-        z = self
-        for _ in range(count):
-            nxt = z.right()
-            if nxt is None:
-                raise NavigationError(f"no sibling {count} positions to the right")
-            z = nxt
-        return z
+        return self._sib(count, "right")
 
     # -- focus access and transformation ------------------------------------
 
@@ -353,10 +332,10 @@ class Zipper:
         result = f(self.focus)
         if result is None:
             return None
-        if self.lang.nominal(result) is not self.lang.nominal(self.focus):
+        after, before = self.lang.nominal(result), self.lang.nominal(self.focus)
+        if after is not before:
             raise TypePreservationError(
-                f"transformation changed {self.lang.nominal(self.focus).__name__}"
-                f" into {self.lang.nominal(result).__name__}"
+                f"transformation changed {before.__name__} into {after.__name__}"
             )
         return Zipper(result, self.path, self.lang)
 
@@ -364,9 +343,7 @@ class Zipper:
 def to_zipper(root: Any, lang: Language) -> Zipper:
     """Focus a zipper on ``root`` with an empty path."""
     if not lang.is_registered(root):
-        raise RegistrationError(
-            f"value of unregistered type {type(root).__name__}: {root!r}"
-        )
+        raise RegistrationError(f"value of unregistered type {type(root).__name__}: {root!r}")
     return Zipper(root, (), lang)
 
 

@@ -202,3 +202,12 @@ def test_missing_file_reports_error(capsys):
     code, out, err = run(capsys, ["let", "names", "--input", "/nonexistent/input"])
     assert code == 1
     assert err != ""
+
+
+def test_invalid_utf8_reports_error(capsys, tmp_path):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, ["let", "pretty", "--input", str(path)])
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1

@@ -237,6 +237,12 @@ def test_attribute_purity():
     assert dcli(z.parent().child_at(2)) == dcli(z)
 
 
+def test_attributes_are_pure():
+    z = root_zipper(RUNNING_ROOT).child_at(1).child_at(2)
+    assert env(z) == env(z)
+    assert lev(z) == lev(z)
+
+
 # -- error analyses ----------------------------------------------------------------
 
 

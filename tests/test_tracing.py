@@ -1,0 +1,42 @@
+"""The benchmark's tracer still finds and restores every name it wraps."""
+
+from __future__ import annotations
+
+import importlib
+from pathlib import Path
+
+import zipstrat
+from zipstrat import cli, letlang, lexing, smells, strategies, zipper
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = (zipstrat, cli, letlang, lexing, smells, strategies, zipper)
+CLASSES = (zipper.Zipper, zipper.Language)
+
+COMMANDS = (
+    (["let", "opt"], "let a = 1\n  b = a + 0\nin b - 0"),
+    (["let", "check"], "let a = b + 3\n  w = let c = a in c + z\nin a + w"),
+    (["let", "pretty", "--output", "ast"], "let a = 1 in a"),
+    (["smell", "fix"], "if (length xs == 0) then True else False"),
+)
+
+
+def test_tracer_counts_and_restores(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    before = [dict(vars(owner)) for owner in MODULES + CLASSES]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for i, (argv, source) in enumerate(COMMANDS):
+            path = tmp_path / f"input{i}.txt"
+            path.write_text(source, encoding="utf-8")
+            assert cli.main([*argv, "--input", str(path)]) in (cli.EXIT_OK, cli.EXIT_SCOPE)
+    finally:
+        tracer.remove()
+    capsys.readouterr()
+    metrics = tracer.layer_metrics()
+    for key in ("zipper.rebuild.calls", "zipper.moves", "strategies.visits",
+                "letlang.env.calls"):
+        assert metrics[key] > 0, key
+    after = [dict(vars(owner)) for owner in MODULES + CLASSES]
+    assert after == before

@@ -9,9 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from generators import let_exps, let_programs
-from oracles import preorder_values
+from oracles import preorder_values, replace_at
 from programs import RUNNING, RUNNING_ROOT
-from zipstrat.letlang import LANG, Add, Const, Exp, Let, Root, Var
+from zipstrat.letlang import LANG, Add, Const, EmptyList, Exp, Let, List, Root, Var
 from zipstrat.zipper import (
     ChildIndexError,
     ConstructorTag,
@@ -189,6 +189,12 @@ def test_constructor_tags():
     assert LANG.tag(RUNNING_ROOT) == ConstructorTag("Root", "Root", 1)
     assert LANG.tag(RUNNING.decls) == ConstructorTag("List", "Assign", 3)
     assert LANG.tag("a") == ConstructorTag("str", "str", 0)
+    # leaves are registered in any language; other unregistered values are loud
+    empty = Language("empty")
+    assert empty.tag("x") == ConstructorTag("str", "str", 0)
+    for read in (empty.nominal, empty.tag, empty.children):
+        with pytest.raises(RegistrationError):
+            read(3.5)
 
 
 def test_register_rejects_duplicates_and_nondataclasses():
@@ -264,6 +270,40 @@ def test_inverse_moves(root, moves):
     kids = LANG.children(z.focus)
     for i in range(1, len(kids) + 1):
         assert z.child_at(i).parent() == z
+
+
+# One value per nominal type of the let language, outside the generators' ranges.
+FRESH = {
+    Root: Root(Let(EmptyList(), Const(99))),
+    Let: Let(EmptyList(), Const(99)),
+    List: EmptyList(),
+    Exp: Const(99),
+    str: "fresh",
+    int: 99,
+}
+
+
+@given(let_programs(), st.lists(st.sampled_from(MOVES), max_size=12))
+def test_moves_after_trans_m_keep_the_rewrite(root, moves):
+    z = _random_walk(to_zipper(root, LANG), moves)
+    new = FRESH[LANG.nominal(z.focus)]
+    z = z.trans_m(lambda _: new)
+    expected = replace_at(root, z.position, new, LANG)
+    assert from_zipper(z) == expected
+    for side, back in (("right", "left"), ("left", "right")):
+        moved = getattr(z, side)()
+        if moved is not None:
+            returned = getattr(moved, back)()
+            assert returned.focus is new
+            assert returned.position == z.position
+            assert returned == z and hash(returned) == hash(z)
+            assert from_zipper(moved) == expected
+    parent = z.up()
+    if parent is not None:
+        index = z.position[-1]
+        assert LANG.children(parent.focus)[index] is new
+        assert parent.child_at(index + 1).position == z.position
+        assert from_zipper(parent) == expected
 
 
 @given(let_exps)
