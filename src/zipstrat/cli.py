@@ -8,8 +8,9 @@ Subcommands::
     zipstrat let pretty     reprint in canonical layout
     zipstrat smell fix      rewrite a mini-language expression smell-free
 
-Exit codes: 0 success, 1 syntax error or unreadable input, 2 scope errors,
-3 rewrite budget exhausted.  Diagnostics go to standard error.
+Input, from a file or standard input, must be UTF-8.  Exit codes: 0 success,
+1 syntax error or unreadable input, 2 scope errors, 3 rewrite budget exhausted,
+4 input nested too deeply.  Diagnostics go to standard error.
 """
 
 from __future__ import annotations
@@ -29,11 +30,15 @@ EXIT_OK = 0
 EXIT_SYNTAX = 1
 EXIT_SCOPE = 2
 EXIT_FUEL = 3
+EXIT_DEPTH = 4
 
 
 def _read_input(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
+        # Decode the bytes strictly, as for a file: stdin's text layer may escape
+        # undecodable bytes, by locale.  A text stream put in its place is read as is.
+        stdin = sys.stdin
+        return stdin.buffer.read().decode("utf-8") if hasattr(stdin, "buffer") else stdin.read()
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
 
@@ -164,6 +169,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_SYNTAX
+    except RecursionError:
+        print("input nested too deeply", file=sys.stderr)
+        return EXIT_DEPTH
 
 
 if __name__ == "__main__":

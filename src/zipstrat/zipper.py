@@ -194,20 +194,19 @@ class Language:
 
 @dataclass(frozen=True, eq=False)
 class Context:
-    """One step of the path: the parent's tag, its children and the focus's index.
+    """One step of the path: the parent node, its children and the focus's index.
 
-    ``kids`` is the parent's children tuple as it was when the frame was made,
-    so a sibling move that changed nothing reuses it.  The slot at ``index``
-    may be stale once the focus has been replaced: :meth:`Zipper.up` and the
-    sibling moves put the current focus there, and equality ignores it.
+    A move that replaced nothing reuses ``parent`` and ``kids`` as they are.  Once the
+    focus is replaced, the slot at ``index`` is stale: :meth:`Zipper.up` then rebuilds
+    the parent with the current focus there, and equality ignores that slot.
     """
 
-    parent_tag: ConstructorTag
+    parent: Any
     kids: tuple[Any, ...]
     index: int
 
     def _key(self) -> tuple[Any, ...]:
-        return (self.parent_tag, self.index, self.kids[: self.index], self.kids[self.index + 1 :])
+        return (type(self.parent), self.index, self.kids[: self.index], self.kids[self.index + 1 :])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Context) and self._key() == other._key()
@@ -231,7 +230,7 @@ class Zipper:
     lang: Language = field(compare=False, repr=False)
 
     def _down(self, kids: list[Any], index: int) -> Zipper:
-        frame = Context(self.lang.tag(self.focus), tuple(kids), index)
+        frame = Context(self.focus, tuple(kids), index)
         return Zipper(kids[index], (frame,) + self.path, self.lang)
 
     def _sibling(self, step: int) -> Zipper | None:
@@ -241,11 +240,11 @@ class Zipper:
         index = ctx.index + step
         if not 0 <= index < len(ctx.kids):
             return None
-        kids = ctx.kids
-        if self.focus is not kids[ctx.index]:
-            kids = kids[: ctx.index] + (self.focus,) + kids[ctx.index + 1 :]
-        frame = Context(ctx.parent_tag, kids, index)
-        return Zipper(kids[index], (frame,) + self.path[1:], self.lang)
+        if self.focus is not ctx.kids[ctx.index]:
+            up = self.up()
+            return up._down(self.lang.children(up.focus), index)
+        frame = Context(ctx.parent, ctx.kids, index)
+        return Zipper(ctx.kids[index], (frame,) + self.path[1:], self.lang)
 
     def _sib(self, count: int, side: str) -> Zipper:
         z = self
@@ -277,9 +276,11 @@ class Zipper:
         if not self.path:
             return None
         ctx = self.path[0]
-        kids = list(ctx.kids)
-        kids[ctx.index] = self.focus
-        return Zipper(self.lang.rebuild(ctx.parent_tag, kids), self.path[1:], self.lang)
+        parent = ctx.parent
+        if self.focus is not ctx.kids[ctx.index]:
+            kids = ctx.kids[: ctx.index] + (self.focus,) + ctx.kids[ctx.index + 1 :]
+            parent = self.lang.rebuild(self.lang.tag(parent), kids)
+        return Zipper(parent, self.path[1:], self.lang)
 
     @property
     def at_root(self) -> bool:
@@ -348,12 +349,10 @@ def to_zipper(root: Any, lang: Language) -> Zipper:
 
 
 def from_zipper(z: Zipper) -> Any:
-    """Rebuild and return the root value; independent of the focus position."""
-    while True:
-        up = z.up()
-        if up is None:
-            return z.focus
+    """The root value, rebuilt where a focus was replaced; independent of the focus position."""
+    while (up := z.up()) is not None:
         z = up
+    return z.focus
 
 
 # -- structured AST export/import -------------------------------------------
@@ -392,8 +391,8 @@ def import_ast(data: Any, lang: Language) -> Any:
     return lang.rebuild(ConstructorTag(type_name, ctor_name, len(kids)), kids)
 
 
-def export_json(value: Any, lang: Language, *, indent: int | None = None) -> str:
-    return json.dumps(export_ast(value, lang), indent=indent)
+def export_json(value: Any, lang: Language) -> str:
+    return json.dumps(export_ast(value, lang))
 
 
 def import_json(text: str, lang: Language) -> Any:

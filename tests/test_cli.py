@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,8 @@ from programs import ERRORS_SOURCE, RUNNING_SOURCE
 from zipstrat import letlang
 from zipstrat.cli import main
 from zipstrat.zipper import export_ast
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -211,3 +217,38 @@ def test_invalid_utf8_reports_error(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert len(err.strip().splitlines()) == 1
+
+
+def run_process(argv, stdin: bytes) -> subprocess.CompletedProcess:
+    # Under the C locale, Python's own stdin escapes undecodable bytes.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "LC_ALL": "C"}
+    return subprocess.run([sys.executable, "-m", "zipstrat.cli", *argv], input=stdin,
+                          capture_output=True, env=env, timeout=300)
+
+
+def test_invalid_utf8_on_stdin_reports_error(capsys, tmp_path):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"\xff\xfe")
+    _, _, from_file = run(capsys, ["let", "pretty", "--input", str(path)])
+    done = run_process(["let", "pretty"], stdin=b"\xff\xfe")
+    assert done.returncode == 1
+    assert done.stdout == b""
+    assert done.stderr.decode() == from_file
+    assert "can't decode" in from_file
+
+
+DEEP_INPUTS = {
+    "let-pretty-parens": (["let", "pretty"],
+                          "let a = " + "(" * 15_000 + "1" + ")" * 15_000 + " in a"),
+    "let-check-negations": (["let", "check"], "let a = " + "-" * 30_000 + "1 in a"),
+    "smell-fix-brackets": (["smell", "fix"], "[" * 20_000 + "x" + "]" * 20_000),
+}
+
+
+@pytest.mark.parametrize("argv, source", DEEP_INPUTS.values(), ids=DEEP_INPUTS)
+def test_deep_input_exits_4_without_traceback(argv, source):
+    done = run_process(argv, stdin=source.encode())
+    err = done.stderr.decode()
+    assert done.returncode == 4, err
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 from pathlib import Path
 
+from programs import RUNNING_SOURCE
 import zipstrat
 from zipstrat import cli, letlang, lexing, smells, strategies, zipper
 
@@ -40,3 +41,23 @@ def test_tracer_counts_and_restores(tmp_path, monkeypatch, capsys):
         assert metrics[key] > 0, key
     after = [dict(vars(owner)) for owner in MODULES + CLASSES]
     assert after == before
+
+
+def test_rebuilds_only_where_a_focus_was_replaced(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    path = tmp_path / "input.txt"
+    path.write_text(RUNNING_SOURCE, encoding="utf-8")
+    rebuilds = {}
+    for command in ("check", "names", "pretty", "opt"):
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            cli.main(["let", command, "--input", str(path)])
+        finally:
+            tracer.remove()
+        rebuilds[command] = tracer.layer_metrics()["zipper.rebuild.calls"]
+    capsys.readouterr()
+    # Analyses and printing replace nothing; the running example has redexes.
+    assert rebuilds["check"] == rebuilds["names"] == rebuilds["pretty"] == 0
+    assert rebuilds["opt"] > 0

@@ -272,6 +272,22 @@ def test_inverse_moves(root, moves):
         assert z.child_at(i).parent() == z
 
 
+@given(let_programs(), st.lists(st.sampled_from(MOVES), max_size=12))
+def test_moves_without_trans_m_rebuild_nothing(root, moves):
+    z = _random_walk(to_zipper(root, LANG), moves)
+    ancestors = [root]
+    for i in z.position:
+        ancestors.append(LANG.children(ancestors[-1])[i])
+    assert z.focus is ancestors.pop()
+    if ancestors:
+        assert z.parent().focus is ancestors[-1]
+    assert from_zipper(z) is root
+    while (up := z.up()) is not None:
+        assert up.focus is ancestors.pop()
+        z = up
+    assert not ancestors
+
+
 # One value per nominal type of the let language, outside the generators' ranges.
 FRESH = {
     Root: Root(Let(EmptyList(), Const(99))),
