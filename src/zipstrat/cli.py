@@ -10,7 +10,8 @@ Subcommands::
 
 Input, from a file or standard input, must be UTF-8.  Exit codes: 0 success,
 1 syntax error or unreadable input, 2 scope errors, 3 rewrite budget exhausted,
-4 input nested too deeply.  Diagnostics go to standard error.
+4 input nested too deeply, 5 usage error (a bad option or argument).
+Diagnostics go to standard error, one line each.
 """
 
 from __future__ import annotations
@@ -31,6 +32,18 @@ EXIT_SYNTAX = 1
 EXIT_SCOPE = 2
 EXIT_FUEL = 3
 EXIT_DEPTH = 4
+EXIT_USAGE = 5
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line with :data:`EXIT_USAGE`.
+
+    Subparsers are made of the same class (``add_subparsers`` defaults its
+    ``parser_class`` to the parent's type), so they report the same way.
+    """
+
+    def error(self, message: str):
+        self.exit(EXIT_USAGE, f"zipstrat: error: {message}\n")
 
 
 def _read_input(path: str) -> str:
@@ -79,7 +92,7 @@ def _add_common(parser: argparse.ArgumentParser, *, strategy: bool, fuel: bool, 
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="zipstrat", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="zipstrat", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
 
     let_cmd = commands.add_parser("let", help="operate on let programs")

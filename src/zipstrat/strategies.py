@@ -14,10 +14,11 @@ the subtree under the focus; each calls one kernel per shape with an order
 (``td`` visits a node before its children, ``bu`` after; children go left
 to right) and a policy for what a success does: ``full`` carries on,
 ``stop`` prunes (in ``td`` the node's descendants, in ``bu`` every node
-above it) and ``once`` ends the traversal.  ``innermost``/``outermost``
-iterate a one-shot search to a fixed point within an optional rewrite
-budget ("fuel"), so divergent rule sets fail loudly; :func:`scheme` builds
-the four whole-tree schemes of :data:`SCHEMES`.
+above it) and ``once`` ends the traversal.  ``innermost`` normalizes in
+one postorder pass that re-normalizes only the subtree a rewrite produced;
+``outermost`` iterates a one-shot top-down search to a fixed point.  Both
+take an optional rewrite budget ("fuel"), so divergent rule sets fail
+loudly; :func:`scheme` builds the four whole-tree schemes of :data:`SCHEMES`.
 """
 
 from __future__ import annotations
@@ -364,10 +365,43 @@ def innermost(s: TP, fuel: int | None = None) -> TP:
     """Rewrite the leftmost-innermost redex until none remains.
 
     Always succeeds; the result is a normal form of ``s`` under that search
-    order.  A step that always succeeds loops forever, hence the optional
-    fuel bound.
+    order.  One postorder pass (``innermost(s) = bottomup(try(s;
+    innermost(s)))``): a node's children are normalized left to right, then
+    ``s`` is tried at the node; after a success the new node's children are
+    normalized and ``s`` tried again, in a loop rather than a recursion.  So
+    a rewrite re-normalizes only the subtree it produced, and a subtree
+    where nothing rewrote is handed back as it came.  While a rewrite never
+    turns a node before it in postorder into a redex, this makes the same
+    rewrites as ``repeat_tp(once_bu_tp(s))``.  A step that always succeeds
+    loops forever, hence the optional fuel bound on the rewrites of a run.
     """
-    return repeat_tp(once_bu_tp(s), fuel)
+
+    def run(z: Zipper) -> Zipper:
+        steps = 0
+
+        def go(z: Zipper) -> Zipper:
+            nonlocal steps
+            while True:
+                below, c = False, z.down_left()
+                while c is not None:
+                    r = go(c)
+                    below = below or r is not c
+                    last, c = r, r.right()
+                if below:
+                    z = last.up()
+                r = s(z)
+                if r is None:
+                    return z
+                steps += 1
+                if fuel is not None and steps > fuel:
+                    raise FuelExhaustedError(
+                        f"exceeded {fuel} rewrites without reaching a fixed point"
+                    )
+                z = r
+
+        return go(z)
+
+    return run
 
 
 def outermost(s: TP, fuel: int | None = None) -> TP:

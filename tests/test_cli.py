@@ -252,3 +252,17 @@ def test_deep_input_exits_4_without_traceback(argv, source):
     assert done.returncode == 4, err
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["let", "opt", "--fuel", "0"],
+    ["let", "opt", "--strategy", "sideways"],
+], ids=["fuel-0", "unknown-strategy"])
+def test_usage_error_exits_5_with_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 5
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("zipstrat: error: ")

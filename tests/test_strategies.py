@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
 
-from generators import NAME_POOL, let_exps, let_programs, random_exp
+from generators import NAME_POOL, let_exps, let_programs, random_exp, random_mexp, random_program
 from oracles import (
     all_normal_forms,
     diff_positions,
@@ -19,6 +20,7 @@ from oracles import (
     typed_rule,
 )
 from programs import RUNNING, RUNNING_ARITH_NF, RUNNING_ROOT
+from zipstrat import smells
 from zipstrat.letlang import (
     LANG,
     Add,
@@ -29,8 +31,11 @@ from zipstrat.letlang import (
     Neg,
     Var,
     expr,
+    program_step,
+    root_zipper,
     select,
 )
+from zipstrat.smells import mexp_zipper, smell_step
 from zipstrat.strategies import (
     FuelExhaustedError,
     Monoid,
@@ -108,11 +113,63 @@ def test_repeat_tp_zero_iterations():
     assert repeat_tp(fail_tp)(z) == z
 
 
+def recorded(s):
+    """``s`` and the list of (position, new constructor) of its successful calls."""
+    hits = []
+
+    def run(z):
+        r = s(z)
+        if r is not None:
+            hits.append((r.position, type(r.focus).__name__))
+        return r
+
+    return run, hits
+
+
+def outcome(driver, s, z, fuel):
+    """The normalized root, or the error a runaway ended in, and the rewrites made."""
+    step, hits = recorded(s)
+    try:
+        out = from_zipper(driver(step, fuel)(z))
+    except (FuelExhaustedError, RecursionError) as exc:
+        out = type(exc)
+    return out, hits
+
+
+def restarting(s, fuel):
+    """The reference driver: a leftmost-innermost search restarted after every rewrite."""
+    return repeat_tp(once_bu_tp(s), fuel)
+
+
 def test_repeat_tp_matches_innermost():
-    z = zipper_of(RUNNING)
-    a = repeat_tp(once_bu_tp(arith()))(z)
-    b = innermost(arith())(z)
-    assert a == b
+    rng = random.Random(5)
+    cases = [(arith(), zipper_of(RUNNING)), (arith(), zipper_of(RUNNING_ROOT))]
+    cases += [(arith(), zipper_of(random_exp(rng, rng.randint(0, 5), NAME_POOL)))
+              for _ in range(60)]
+    # Shadowing makes inlining capture names, so some programs grow without end.
+    cases += [(program_step(), root_zipper(random_program(rng, rng.randint(1, 4))))
+              for _ in range(150)]
+    cases += [(smell_step(), mexp_zipper(random_mexp(rng, rng.randint(0, 6))))
+              for _ in range(150)]
+    # Some runaways deepen the tree exponentially; a fixed stack bound keeps
+    # them short whatever limit an earlier test (through ``cli.main``) set.
+    runaways, limit = 0, sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for step, z in cases:
+            expected, expected_hits = outcome(restarting, step, z, 60)
+            got, hits = outcome(innermost, step, z, 60)
+            assert got == expected
+            if got is RecursionError:
+                # Where the stack gives out depends on the driver's own frames.
+                shorter = min(len(hits), len(expected_hits))
+                assert hits[:shorter] == expected_hits[:shorter]
+            else:
+                assert hits == expected_hits
+            runaways += got in (FuelExhaustedError, RecursionError)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert runaways > 0
 
 
 def test_repeat_tp_fuel_exhausted():
@@ -381,6 +438,56 @@ def test_innermost_result_is_normal_form():
 def test_innermost_fuel_guard():
     with pytest.raises(FuelExhaustedError):
         innermost(adhoc_tp(id_tp, Exp, expr), fuel=1000)(zipper_of(RUNNING))
+
+
+@pytest.mark.parametrize("step, z", [
+    (arith(), zipper_of(RUNNING_ROOT)),
+    (program_step(), zipper_of(RUNNING_ROOT)),
+    (smell_step(), mexp_zipper(smells.parse_m("if [x] ++ xs == [] then True else False"))),
+], ids=["arith", "program", "smells"])
+def test_innermost_fuel_threshold(step, z):
+    counted, hits = recorded(step)
+    normal = innermost(counted)(z)
+    k = len(hits)
+    assert k > 0
+    assert innermost(step, fuel=k)(z) == normal
+    for driver in (innermost, restarting):
+        with pytest.raises(FuelExhaustedError):
+            driver(step, k - 1)(z)
+
+
+def test_innermost_fuel_guard_is_not_a_recursion():
+    # A step that always succeeds rewrites one node over and over; the
+    # driver loops there, so it runs out of fuel, not out of stack.
+    deep = Const(1)
+    for _ in range(3000):
+        deep = Neg(deep)
+    z = zipper_of(deep)
+    for _ in range(2990):
+        z = z.down_left()
+    fuel = 2 * sys.getrecursionlimit()
+    with pytest.raises(FuelExhaustedError):
+        innermost(adhoc_tp(id_tp, Exp, expr), fuel=fuel)(z)
+
+
+def test_innermost_renormalizes_only_what_a_rewrite_produced():
+    n = 200
+    items = tuple(
+        smells.Infix("++", smells.ListLit((smells.Var(f"x{i}"),)), smells.Var("ys"))
+        for i in range(n)
+    )
+    step = smell_step()
+    calls = []
+
+    def counting(z):
+        calls.append(z)
+        return step(z)
+
+    out = innermost(counting)(mexp_zipper(smells.ListLit(items)))
+    assert len(calls) <= 20 * n
+    assert out.focus == smells.ListLit(
+        tuple(smells.Infix(":", smells.Var(f"x{i}"), smells.Var("ys")) for i in range(n))
+    )
 
 
 def test_outermost_agrees_on_confluent_rules():
