@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit_tree(args: argparse.Namespace, value: Any, lang, to_text) -> None:
-    if getattr(args, "output", "text") == "ast":
+    if args.output == "ast":
         print(export_json(value, lang))
     else:
         print(to_text(value))
@@ -168,10 +168,12 @@ def _cmd_smell_fix(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Attribute evaluation and traversal recurse along the tree; allow deep inputs.
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
-    args = build_parser().parse_args(argv)
+    # Attribute evaluation and traversal recurse along the tree; allow deep inputs
+    # while this command runs, and hand the caller back its own limit.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 20_000))
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except ParseError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
@@ -185,6 +187,8 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("input nested too deeply", file=sys.stderr)
         return EXIT_DEPTH
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 if __name__ == "__main__":

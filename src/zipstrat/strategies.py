@@ -9,16 +9,18 @@ Two strategy shapes cover rewriting and querying:
   value in a monoid, so traversals can merge per-node results.
 
 Construction combinators (``adhoc``/``mono``) lift ordinary functions on
-node types into strategies.  The twelve traversals apply a strategy within
-the subtree under the focus; each calls one kernel per shape with an order
-(``td`` visits a node before its children, ``bu`` after; children go left
-to right) and a policy for what a success does: ``full`` carries on,
-``stop`` prunes (in ``td`` the node's descendants, in ``bu`` every node
-above it) and ``once`` ends the traversal.  ``innermost`` normalizes in
-one postorder pass that re-normalizes only the subtree a rewrite produced;
-``outermost`` iterates a one-shot top-down search to a fixed point.  Both
-take an optional rewrite budget ("fuel"), so divergent rule sets fail
-loudly; :func:`scheme` builds the four whole-tree schemes of :data:`SCHEMES`.
+node types into strategies.  One kernel, ``_tp``, is the only code here that
+moves a zipper.  It walks the subtree under the focus in an order (``td``
+visits a node before its children, ``bu`` after; children go left to right)
+under a policy for what a success does: ``full`` carries on, ``stop``
+prunes (in ``td`` the node's descendants, in ``bu`` every node above it),
+``once`` ends the walk and ``again`` normalizes the new node's children and
+retries.  Each traversal is one kernel call; a TU traversal folds its
+successes into the monoid in visit order.  ``innermost`` is the ``bu`` walk
+under ``again``; ``outermost`` iterates a one-shot top-down search to a
+fixed point.  Both take an optional rewrite budget ("fuel"), so divergent
+rule sets fail loudly; :func:`scheme` builds the four whole-tree schemes of
+:data:`SCHEMES`.
 """
 
 from __future__ import annotations
@@ -107,13 +109,16 @@ def repeat_tp(s: TP, fuel: int | None = None) -> TP:
             if r is None:
                 return z
             steps += 1
-            if fuel is not None and steps > fuel:
-                raise FuelExhaustedError(
-                    f"exceeded {fuel} rewrites without reaching a fixed point"
-                )
+            _spend(steps, fuel)
             z = r
 
     return run
+
+
+def _spend(steps: int, fuel: int | None) -> None:
+    """Raise :class:`FuelExhaustedError` once a run's ``steps`` rewrites exceed ``fuel``."""
+    if fuel is not None and steps > fuel:
+        raise FuelExhaustedError(f"exceeded {fuel} rewrites without reaching a fixed point")
 
 
 # -- strategy construction ---------------------------------------------------
@@ -230,58 +235,76 @@ def choice_tu(a: TU, b: TU) -> TU:
 # -- traversal schemes ------------------------------------------------------------
 
 
-def _tp(s: TP, order: str, policy: str) -> TP:
-    """The TP kernel; a subtree where nothing succeeded yields ``None`` and is not rebuilt."""
+def _tp(s: TP, order: str, policy: str, fuel: int | None = None) -> TP:
+    """The traversal kernel, the only walk over the tree in this module.
 
-    def go(z: Zipper) -> Zipper | None:
-        r = s(z) if order == "td" else None
-        if r is not None:
-            if policy != "full":
-                return r
-            z = r
-        here, below, c = r is not None, False, z.down_left()
-        while c is not None:
-            r = go(c)
-            if r is not None:
-                if policy == "once":
-                    return r.up()
-                c, below = r, True
-            last, c = c, c.right()
-        if below:
-            z = last.up()
-        if order == "bu" and not (below and policy == "stop"):
-            r = s(z)
-            if r is not None:
-                return r
-        return z if here or below else None
+    A subtree where nothing succeeded yields ``None`` (under ``again``, the
+    zipper it came as), and a child that came back as the same zipper is not
+    put back into its parent, so neither is rebuilt.
+    """
 
-    return go
+    def run(z: Zipper) -> Zipper | None:
+        steps = 0
+
+        def go(z: Zipper) -> Zipper | None:
+            nonlocal steps
+            r = s(z) if order == "td" else None
+            if r is not None:
+                if policy != "full":
+                    return r
+                z = r
+            here = r is not None
+            while True:
+                below = moved = False
+                c = z.down_left()
+                while c is not None:
+                    r = go(c)
+                    if r is not None:
+                        below = True
+                        if r is not c:
+                            c, moved = r, True
+                        if policy == "once":
+                            return c.up() if moved else z
+                    # Up from the last child itself, so no level keeps a second zipper alive.
+                    r = c.right()
+                    if r is None and moved:
+                        z = c.up()
+                    c = r
+                if order == "td" or (below and policy == "stop"):
+                    break
+                r = s(z)
+                if r is None:
+                    break
+                if policy != "again":
+                    return r
+                # Normalize the new node's children, then try ``s`` there again.
+                steps += 1
+                _spend(steps, fuel)
+                z, here = r, True
+            return z if here or below or policy == "again" else None
+
+        return go(z)
+
+    return run
 
 
 def _tu(s: TU, order: str, policy: str) -> TU:
-    """The TU kernel; ``go`` yields ``None`` where no node of the subtree succeeded."""
+    """The TP walk with a step that folds each success of ``s``, in visit
+    order, into one result and hands the zipper back unchanged."""
     m = s.monoid
 
-    def go(z: Zipper) -> Any | None:
-        r = s(z) if order == "td" else None
-        if r is not None and policy != "full":
-            return r
-        acc, c = r, z.down_left()
-        while c is not None:
-            d = go(c)
-            if d is not None:
-                if policy == "once":
-                    return d
-                acc = d if acc is None else m.combine(acc, d)
-            c = c.right()
-        if order == "bu" and (acc is None or policy == "full"):
-            r = s(z)
-            if r is not None:
-                acc = r if acc is None else m.combine(acc, r)
-        return acc
-
     def run(z: Zipper) -> Any | None:
-        acc = go(z)
+        acc = None
+
+        def visit(z: Zipper) -> Zipper | None:
+            nonlocal acc
+            r = s(z)
+            if r is None:
+                return None
+            acc = r if acc is None else m.combine(acc, r)
+            return z
+
+        _tp(visit, order, policy)(z)
         return m.empty() if acc is None and policy != "once" else acc
 
     return TU(run, m)
@@ -365,43 +388,18 @@ def innermost(s: TP, fuel: int | None = None) -> TP:
     """Rewrite the leftmost-innermost redex until none remains.
 
     Always succeeds; the result is a normal form of ``s`` under that search
-    order.  One postorder pass (``innermost(s) = bottomup(try(s;
-    innermost(s)))``): a node's children are normalized left to right, then
-    ``s`` is tried at the node; after a success the new node's children are
-    normalized and ``s`` tried again, in a loop rather than a recursion.  So
-    a rewrite re-normalizes only the subtree it produced, and a subtree
-    where nothing rewrote is handed back as it came.  While a rewrite never
-    turns a node before it in postorder into a redex, this makes the same
-    rewrites as ``repeat_tp(once_bu_tp(s))``.  A step that always succeeds
-    loops forever, hence the optional fuel bound on the rewrites of a run.
+    order.  The kernel's ``bu`` walk with the ``again`` policy, Stratego's
+    ``innermost(s) = bottomup(try(s; innermost(s)))``: a node's children are
+    normalized left to right, then ``s`` is tried at the node; after a
+    success the new node's children are normalized and ``s`` tried again,
+    in a loop rather than a recursion.  So a rewrite re-normalizes only the
+    subtree it produced, and a subtree where nothing rewrote is handed back
+    as it came.  While a rewrite never turns a node before it in postorder
+    into a redex, this makes the same rewrites as
+    ``repeat_tp(once_bu_tp(s))``.  A step that always succeeds loops
+    forever, hence the optional fuel bound on the rewrites of a run.
     """
-
-    def run(z: Zipper) -> Zipper:
-        steps = 0
-
-        def go(z: Zipper) -> Zipper:
-            nonlocal steps
-            while True:
-                below, c = False, z.down_left()
-                while c is not None:
-                    r = go(c)
-                    below = below or r is not c
-                    last, c = r, r.right()
-                if below:
-                    z = last.up()
-                r = s(z)
-                if r is None:
-                    return z
-                steps += 1
-                if fuel is not None and steps > fuel:
-                    raise FuelExhaustedError(
-                        f"exceeded {fuel} rewrites without reaching a fixed point"
-                    )
-                z = r
-
-        return go(z)
-
-    return run
+    return _tp(s, "bu", "again", fuel)
 
 
 def outermost(s: TP, fuel: int | None = None) -> TP:

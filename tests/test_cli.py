@@ -266,3 +266,24 @@ def test_usage_error_exits_5_with_one_line(capsys, argv):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("zipstrat: error: ")
+
+
+@pytest.mark.parametrize("argv, stdin, code", [
+    (["let", "pretty"], RUNNING_SOURCE, 0),
+    (["let", "opt", "--fuel", "0"], RUNNING_SOURCE, 5),
+    (["let", "check"], DEEP_INPUTS["let-check-negations"][1], 4),
+], ids=["ok", "usage", "deep"])
+def test_main_restores_the_recursion_limit(capsys, monkeypatch, argv, stdin, code):
+    # ``main`` raises the limit for deep inputs; the caller's limit must survive
+    # a normal return, argparse's ``SystemExit`` and a ``RecursionError``.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1_500)
+    try:
+        try:
+            got = run(capsys, argv, stdin, monkeypatch)[0]
+        except SystemExit as exc:
+            got = exc.code
+        assert got == code
+        assert sys.getrecursionlimit() == 1_500
+    finally:
+        sys.setrecursionlimit(limit)

@@ -2,25 +2,37 @@
 
 from __future__ import annotations
 
+import ast
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
 
-from generators import NAME_POOL, let_exps, let_programs, random_exp, random_mexp, random_program
+from generators import (
+    NAME_POOL,
+    let_exps,
+    let_programs,
+    mexps,
+    random_exp,
+    random_mexp,
+    random_program,
+)
 from oracles import (
     all_normal_forms,
     diff_positions,
     normalize_anywhere,
+    positions,
+    postorder_positions,
     postorder_values,
     preorder_tags,
     redexes,
     typed_rule,
 )
 from programs import RUNNING, RUNNING_ARITH_NF, RUNNING_ROOT
-from zipstrat import smells
+from zipstrat import smells, strategies
 from zipstrat.letlang import (
     LANG,
     Add,
@@ -73,7 +85,7 @@ from zipstrat.strategies import (
     stop_td_tu,
     try_tp,
 )
-from zipstrat.zipper import Language, from_zipper, to_zipper
+from zipstrat.zipper import Language, Zipper, from_zipper, to_zipper
 
 B_PLUS_ZERO = Add(Var("b"), Const(0))
 
@@ -279,6 +291,128 @@ def test_failing_search_rebuilds_nothing(traversal, monkeypatch):
     else:
         assert traversal(fail_tu())(z) in (None, [])
     assert rebuilds == []
+
+
+TREES = hst.one_of(
+    let_programs().map(lambda root: (root, LANG)),
+    mexps.map(lambda e: (e, smells.LANG)),
+)
+
+
+def _strictly_below(q, p) -> bool:
+    return len(q) > len(p) and q[: len(p)] == p
+
+
+def expected_walk(name, root, lang, hits):
+    """The (visits, successes) a traversal must show, from the plain position oracles."""
+    kind, order, _ = name.split("_")
+    walk = positions(root, lang) if order == "td" else postorder_positions(root, lang)
+    if kind == "once":
+        first = next((i for i, p in enumerate(walk) if p in hits), len(walk) - 1)
+        visits = walk[: first + 1]
+    elif kind == "stop" and order == "td":
+        visits = [p for p in walk if not any(_strictly_below(p, h) for h in hits)]
+    elif kind == "stop":
+        visits = [p for p in walk if not any(_strictly_below(h, p) for h in hits)]
+    else:
+        visits = walk
+    return visits, [p for p in visits if p in hits]
+
+
+@given(TREES, hst.integers(0, 2**32 - 1), hst.sampled_from((0.0, 0.1, 0.3, 1.0)), hst.booleans())
+def test_traversals_match_position_oracles(tree, seed, density, fresh):
+    root, lang = tree
+    rng = random.Random(seed)
+    hits = {p for p in positions(root, lang) if rng.random() < density}
+    z = to_zipper(root, lang)
+    for traversal in TRAVERSALS:
+        name = traversal.__name__
+        expected_visits, expected_successes = expected_walk(name, root, lang, hits)
+        visits, successes = [], []
+
+        def visit(z):
+            visits.append(z.position)
+            return z.position in hits
+
+        if name.endswith("_tu"):
+            out = traversal(TU(lambda z: [z.position] if visit(z) else None))(z)
+            failed = None if name.startswith("once_") else []
+            assert out == (expected_successes or failed), name
+        else:
+
+            def step(z):
+                if not visit(z):
+                    return None
+                successes.append(z.position)
+                # A fresh zipper on the same node makes the walk move back up through it.
+                return Zipper(z.focus, z.path, z.lang) if fresh else z
+
+            out = traversal(step)(z)
+            assert successes == expected_successes, name
+            if successes:
+                assert out.position == () and from_zipper(out) == root, name
+            else:
+                assert out is None, name
+        assert visits == expected_visits, name
+
+
+@pytest.mark.parametrize("driver, walk", [
+    (innermost, postorder_positions),
+    (outermost, positions),
+], ids=["innermost", "outermost"])
+@pytest.mark.parametrize("root, lang", [
+    (RUNNING_ROOT, LANG),
+    (smells.parse_m("if [x] ++ xs == [] then True else False"), smells.LANG),
+], ids=["let", "mexp"])
+def test_normalizer_without_a_redex_hands_back_its_input(driver, walk, root, lang, monkeypatch):
+    rebuilds, visits = [], []
+    rebuild = Language.rebuild
+
+    def counting(self, tag, children):
+        rebuilds.append(tag)
+        return rebuild(self, tag, children)
+
+    def never(z):
+        visits.append(z.position)
+        return None
+
+    monkeypatch.setattr(Language, "rebuild", counting)
+    z = to_zipper(root, lang)
+    assert driver(never)(z) is z
+    assert visits == walk(root, lang)
+    assert rebuilds == []
+
+
+@pytest.mark.parametrize("traversal", [t for t in TRAVERSALS if t.__name__.endswith("_tu")],
+                         ids=lambda t: t.__name__)
+def test_tu_traversals_never_move_up(traversal, monkeypatch):
+    # A TU step hands the zipper back unchanged, so the walk has nothing to put back.
+    ups = []
+    up = Zipper.up
+
+    def counting(self):
+        ups.append(self.position)
+        return up(self)
+
+    monkeypatch.setattr(Zipper, "up", counting)
+    assert traversal(const_tu([1]))(zipper_of(RUNNING_ROOT))
+    assert ups == []
+
+
+def test_only_the_kernel_moves_a_zipper():
+    # One walker: a second copy of descend / move right / move up would have to
+    # be kept in step with the kernel by hand.
+    moves = {"down_left", "down_right", "left", "right", "up"}
+    tree = ast.parse(Path(strategies.__file__).read_text(encoding="utf-8"))
+    movers = {
+        top.name
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in moves
+    }
+    assert movers == {"_tp"}
 
 
 # -- full traversals -----------------------------------------------------------
