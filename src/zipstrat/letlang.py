@@ -280,6 +280,20 @@ def _pretty_exp(e: Exp, prec: int) -> str:
 # The environment type is an ordered list of (name, zipper-at-declaration)
 # pairs, innermost/most recent first; lookup takes the first match, which
 # is what makes shadowing and duplicate reporting work.
+#
+# The equations are the paper's: dcli accumulates down the declaration spine,
+# dclo is dcli at the spine's end, env is the enclosing block's dclo.  Read
+# literally they recompute the whole block at every use, so each block keeps
+# one binder table instead: its own (name, site) entries, innermost first,
+# built in one walk down its spine.  env is that table followed by the outer
+# environment, and dcli at a spine position is the table's matching suffix.
+# The table is memoized on the Let node (outside its dataclass fields, so
+# equality, hashing and the reflected arity are untouched), and reused only
+# when the Let is reached again through an equal path, so its sites are the
+# ones a fresh walk would build.  A Let that the walk up rebuilt after a
+# rewrite (its frame still holds the old node) is never given a table: the
+# copy is garbage once the walk ends, and a table, whose sites point back at
+# it, would keep it alive in a reference cycle.
 
 Env = list[tuple[Name, Zipper]]
 
@@ -302,57 +316,84 @@ def lexeme_assign(z: Zipper) -> Exp | None:
     return node.exp if isinstance(node, Assign) else None
 
 
+def _binders(block: Zipper) -> Env:
+    """The block's own declarations, innermost first: the memoized table.
+
+    Callers copy it; the cached list is never handed out.
+    """
+    node = block.focus
+    memo = node.__dict__.get("_binders")
+    if memo is not None and memo[0] == block.path:
+        return memo[1]
+    table = []
+    site = block.child_at(1)
+    while isinstance(site.focus, (Assign, NestedLet)):
+        table.append((lexeme(site), site))
+        site = site.child_at(3)
+    table.reverse()
+    frame = block.path[0] if block.path else None
+    if frame is None or frame.kids[frame.index] is node:
+        object.__setattr__(node, "_binders", (block.path, table))
+    return table
+
+
+def _outer(block: Zipper) -> Env:
+    """The environment a block restarts from: none under the root, else its parent's."""
+    parent = block.parent()
+    return [] if isinstance(parent.focus, Root) else env(parent)
+
+
 def dcli(z: Zipper) -> Env:
     """Declarations accumulated above and left of the focus (inherited).
 
     Restarts from the outer environment at a nested block, so level checks
-    can still see outer declarations.
+    can still see outer declarations.  Below a spine node this is the
+    suffix of the block's table that the spine above the focus declares.
     """
     node = z.focus
     if isinstance(node, Root):
         return []
     if isinstance(node, Let):
-        parent = z.parent()
-        if isinstance(parent.focus, Root):
-            return []
-        return env(parent)  # nested block: start from the outer environment
-    parent = z.parent()
-    pf = parent.focus
-    if isinstance(pf, (Assign, NestedLet)):
-        return [(lexeme(parent), parent)] + dcli(parent)
-    if isinstance(pf, Let):
-        return dcli(parent)
-    raise ScopeDomainError(f"dcli undefined under {type(pf).__name__}")
+        return _outer(z)
+    z = z.parent()
+    if not isinstance(z.focus, (Assign, NestedLet, Let)):
+        raise ScopeDomainError(f"dcli undefined under {type(z.focus).__name__}")
+    above = 0
+    while not isinstance(z.focus, Let):
+        above += 1
+        z = z.parent()
+    table = _binders(z)
+    return table[len(table) - above :] + _outer(z)
 
 
 def dclo(z: Zipper) -> Env:
-    """The block's complete declaration list (synthesized at the spine's end)."""
+    """The block's complete declaration list (synthesized at the spine's end).
+
+    Every spine node of a block has the same one, which is the block's ``env``.
+    """
     node = z.focus
-    if isinstance(node, (Root, Let)):
-        return dclo(z.child_at(1))
-    if isinstance(node, (Assign, NestedLet)):
-        return dclo(z.child_at(3))
-    if isinstance(node, EmptyList):
-        return dcli(z)
+    if isinstance(node, (Root, Let, Assign, NestedLet, EmptyList)):
+        return env(z)
     raise ScopeDomainError(f"dclo undefined at {type(node).__name__}")
 
 
 def env(z: Zipper) -> Env:
     """The environment visible at the focus: the enclosing block's ``dclo``."""
-    node = z.focus
-    if isinstance(node, (Root, Let)):
-        return dclo(z)
-    return env(z.parent())
+    while not isinstance(z.focus, (Root, Let)):
+        z = z.parent()
+    if isinstance(z.focus, Root):
+        z = z.child_at(1)
+    return _binders(z) + _outer(z)
 
 
 def lev(z: Zipper) -> int:
     """Nesting level: 0 at the root, +1 per enclosing block."""
-    node = z.focus
-    if isinstance(node, Root):
-        return 0
-    if isinstance(node, Let):
-        return lev(z.parent()) + 1
-    return lev(z.parent())
+    level = 0
+    while not isinstance(z.focus, Root):
+        if isinstance(z.focus, Let):
+            level += 1
+        z = z.parent()
+    return level
 
 
 def must_be_in(name: Name, environment: Env) -> list[Name]:

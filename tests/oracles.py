@@ -1,11 +1,12 @@
 """Independent oracles: plain recursions used to cross-check the traversal
-and rewrite machinery.  Nothing here goes through zippers or strategies."""
+and rewrite machinery.  Nothing here goes through strategies, and only the
+scope-rule equations go through zippers, since the paper states them there."""
 
 from __future__ import annotations
 
 from zipstrat import letlang as L
 from zipstrat import smells as S
-from zipstrat.zipper import Language
+from zipstrat.zipper import Language, Zipper
 
 
 # -- tree walks ----------------------------------------------------------------
@@ -92,6 +93,48 @@ def scope_errors_walk(root: L.Root) -> list[str]:
         return errs
 
     return block(root.let, set())
+
+
+# -- scope-rule equations -------------------------------------------------------
+#
+# The paper's equations for ``dcli``/``dclo``/``env``, read literally: each
+# call recomputes the block by recursion along the declaration spine.  They
+# are the reference for the library's table-based attributes.
+
+
+def dcli_spec(z: Zipper) -> list:
+    node = z.focus
+    if isinstance(node, L.Root):
+        return []
+    if isinstance(node, L.Let):
+        parent = z.parent()
+        if isinstance(parent.focus, L.Root):
+            return []
+        return env_spec(parent)
+    parent = z.parent()
+    pf = parent.focus
+    if isinstance(pf, (L.Assign, L.NestedLet)):
+        return [(pf.name, parent)] + dcli_spec(parent)
+    if isinstance(pf, L.Let):
+        return dcli_spec(parent)
+    raise L.ScopeDomainError(f"dcli undefined under {type(pf).__name__}")
+
+
+def dclo_spec(z: Zipper) -> list:
+    node = z.focus
+    if isinstance(node, (L.Root, L.Let)):
+        return dclo_spec(z.child_at(1))
+    if isinstance(node, (L.Assign, L.NestedLet)):
+        return dclo_spec(z.child_at(3))
+    if isinstance(node, L.EmptyList):
+        return dcli_spec(z)
+    raise L.ScopeDomainError(f"dclo undefined at {type(node).__name__}")
+
+
+def env_spec(z: Zipper) -> list:
+    if isinstance(z.focus, (L.Root, L.Let)):
+        return dclo_spec(z)
+    return env_spec(z.parent())
 
 
 # -- positions and point rewrites ----------------------------------------------

@@ -2,13 +2,27 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import sys
+import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given
 
 from generators import let_programs, random_program, random_wellscoped_program
-from oracles import let_names_walk, normalize_anywhere, scope_errors_walk, typed_rule
+from oracles import (
+    dcli_spec,
+    dclo_spec,
+    env_spec,
+    let_names_walk,
+    normalize_anywhere,
+    positions,
+    scope_errors_walk,
+    subtree_at,
+    typed_rule,
+)
 from programs import (
     ERRORS_ROOT,
     ERRORS_SOURCE,
@@ -19,6 +33,7 @@ from programs import (
     RUNNING_SOURCE,
     RUNNING_VALUE,
 )
+from zipstrat import letlang
 from zipstrat.letlang import (
     LANG,
     Add,
@@ -31,6 +46,7 @@ from zipstrat.letlang import (
     NestedLet,
     ParseError,
     Root,
+    ScopeDomainError,
     Sub,
     Var,
     dcli,
@@ -59,7 +75,7 @@ from zipstrat.letlang import (
     root_zipper,
 )
 from zipstrat.strategies import adhoc_tpz, fail_tp, once_bu_tp
-from zipstrat.zipper import from_zipper, to_zipper
+from zipstrat.zipper import Zipper, from_zipper, to_zipper
 
 
 def body_zipper(root: Root):
@@ -241,6 +257,129 @@ def test_attributes_are_pure():
     z = root_zipper(RUNNING_ROOT).child_at(1).child_at(2)
     assert env(z) == env(z)
     assert lev(z) == lev(z)
+
+
+def flat_block(n: int) -> Root:
+    """``let x0 = 0; x1 = x0 + 1; …`` with ``n`` declarations, built without recursion."""
+    spine = EmptyList()
+    for i in reversed(range(n)):
+        spine = Assign(f"x{i}", Add(Var(f"x{i - 1}"), Const(1)) if i else Const(0), spine)
+    return Root(Let(spine, Var(f"x{n - 1}")))
+
+
+def at(z, pos):
+    for i in pos:
+        z = z.child_at(i + 1)
+    return z
+
+
+SCOPE_ATTRIBUTES = [(env, env_spec), (dcli, dcli_spec), (dclo, dclo_spec)]
+
+
+def scope_view(attribute, z):
+    """An attribute's ``(name, position, focus)`` entries, or the domain error it raises."""
+    try:
+        return [(n, site.position, site.focus) for n, site in attribute(z)]
+    except ScopeDomainError:
+        return ScopeDomainError
+
+
+@given(let_programs())
+def test_scope_attributes_match_the_equations(root):
+    top = root_zipper(root)
+    for pos in positions(root, LANG):
+        z = at(top, pos)
+        for attribute, spec in SCOPE_ATTRIBUTES:
+            assert scope_view(attribute, z) == scope_view(spec, z)
+
+
+@given(let_programs())
+def test_scope_attributes_read_the_rewritten_block(root):
+    # Replace one declaration's expression, move up to its block only (so the
+    # block is a rebuilt copy that the path above does not hold yet), and read
+    # the attributes everywhere inside: every site must show the new expression.
+    pos = next(p for p in positions(root, LANG)
+               if p and p[-1] == 1 and isinstance(subtree_at(root, p[:-1], LANG), Assign))
+    rewritten = at(root_zipper(root), pos).trans_m(lambda _: Const(4242))
+    block = rewritten
+    while not isinstance(block.focus, Let):
+        block = block.parent()
+    assert rewritten.parent().focus in [site.focus for _, site in env(block)]
+    for inner in positions(block.focus, LANG):
+        z = at(block, inner)
+        for attribute, spec in SCOPE_ATTRIBUTES:
+            assert scope_view(attribute, z) == scope_view(spec, z)
+
+
+def test_a_block_rebuilt_on_the_way_up_keeps_no_table():
+    # The walk from a use to its block rebuilds the block after a rewrite; that
+    # copy must die with the walk's zippers, not live on in a reference cycle.
+    root = parse("let a = 1; b = a in b")
+    z = root_zipper(root).child_at(1).child_at(1).child_at(2).trans_m(lambda _: Const(2))
+    use = z.parent().child_at(3).child_at(2)
+    assert use.focus == Var("a")
+    gc.disable()
+    try:
+        entries = env(use)
+        assert [n for n, _ in entries] == ["b", "a"]
+        rebuilt = weakref.ref(entries[0][1].parent().parent().focus)
+        assert isinstance(rebuilt(), Let) and rebuilt() is not root.let
+        del entries
+        assert rebuilt() is None
+    finally:
+        gc.enable()
+
+
+def test_a_block_shared_at_two_levels_gets_its_own_sites():
+    # One Let object at levels 2 and 3: a table kept from the first place must
+    # not be handed out at the second, where its duplicate is on another level.
+    inner = parse("let c = 1; c = 2 in c").let
+    middle = Let(NestedLet("c", inner, EmptyList()), Var("c"))
+    root = Root(Let(NestedLet("x", inner, NestedLet("y", middle, EmptyList())), Var("x")))
+    z = root_zipper(root)
+    assert errors_ag(z) == errors_strategic(z) == scope_errors_walk(root) == ["c", "c"]
+    for pos in positions(root, LANG):
+        here = at(z, pos)
+        for attribute, spec in SCOPE_ATTRIBUTES:
+            assert scope_view(attribute, here) == scope_view(spec, here)
+
+
+def test_scope_attributes_iterate_along_the_spine():
+    n = 3000
+    z = root_zipper(flat_block(n)).child_at(1).child_at(1)
+    for _ in range(n - 1):
+        z = z.child_at(3)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        got = env(z), dcli(z), dclo(z), lev(z)
+    finally:
+        sys.setrecursionlimit(limit)
+    declared = [f"x{i}" for i in reversed(range(n))]
+    assert [name for name, _ in got[0]] == declared
+    assert [name for name, _ in got[1]] == declared[1:]
+    assert [name for name, _ in got[2]] == declared
+    assert got[3] == 1
+
+
+def test_scope_attributes_cost_linear_in_a_flat_block(monkeypatch):
+    # One table per block: the error analysis evaluates a constant number of
+    # scope attributes per node and walks the spine down once.
+    n = 200
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    for name in ("env", "dclo", "dcli"):
+        monkeypatch.setattr(letlang, name, counting("attribute", getattr(letlang, name)))
+    monkeypatch.setattr(Zipper, "child_at", counting("child_at", Zipper.child_at))
+    assert errors_strategic(root_zipper(flat_block(n))) == []
+    assert calls["attribute"] <= 5 * n
+    assert calls["child_at"] <= 2 * n
 
 
 # -- error analyses ----------------------------------------------------------------
