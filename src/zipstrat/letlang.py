@@ -33,7 +33,7 @@ from .strategies import (
     id_tp,
     innermost,
 )
-from .zipper import Language, Zipper, to_zipper
+from .zipper import Language, NavigationError, Zipper, to_zipper
 
 Name = str
 
@@ -323,7 +323,7 @@ def _binders(block: Zipper) -> Env:
     """
     node = block.focus
     memo = node.__dict__.get("_binders")
-    if memo is not None and memo[0] == block.path:
+    if memo is not None and memo[0] == block:
         return memo[1]
     table = []
     site = block.child_at(1)
@@ -333,7 +333,7 @@ def _binders(block: Zipper) -> Env:
     table.reverse()
     frame = block.path[0] if block.path else None
     if frame is None or frame.kids[frame.index] is node:
-        object.__setattr__(node, "_binders", (block.path, table))
+        object.__setattr__(node, "_binders", (block, table))
     return table
 
 
@@ -358,12 +358,14 @@ def dcli(z: Zipper) -> Env:
     z = z.parent()
     if not isinstance(z.focus, (Assign, NestedLet, Let)):
         raise ScopeDomainError(f"dcli undefined under {type(z.focus).__name__}")
-    above = 0
-    while not isinstance(z.focus, Let):
+    block = _enclosing(z, Let)
+    # The spine nodes above the focus: the depth from the block down to z.
+    above, path = 0, z.path
+    while path is not block.path:
         above += 1
-        z = z.parent()
-    table = _binders(z)
-    return table[len(table) - above :] + _outer(z)
+        path = path[1]
+    table = _binders(block)
+    return table[len(table) - above :] + _outer(block)
 
 
 def dclo(z: Zipper) -> Env:
@@ -379,8 +381,7 @@ def dclo(z: Zipper) -> Env:
 
 def env(z: Zipper) -> Env:
     """The environment visible at the focus: the enclosing block's ``dclo``."""
-    while not isinstance(z.focus, (Root, Let)):
-        z = z.parent()
+    z = _enclosing(z, (Root, Let))
     if isinstance(z.focus, Root):
         z = z.child_at(1)
     return _binders(z) + _outer(z)
@@ -389,11 +390,19 @@ def env(z: Zipper) -> Env:
 def lev(z: Zipper) -> int:
     """Nesting level: 0 at the root, +1 per enclosing block."""
     level = 0
-    while not isinstance(z.focus, Root):
-        if isinstance(z.focus, Let):
-            level += 1
-        z = z.parent()
+    z = _enclosing(z, (Root, Let))
+    while isinstance(z.focus, Let):
+        level += 1
+        z = _enclosing(z.parent(), (Root, Let))
     return level
+
+
+def _enclosing(z: Zipper, types: type | tuple[type, ...]) -> Zipper:
+    """The nearest ancestor-or-self of a ``types`` node; past the root, as ``parent()`` fails."""
+    found = z.up_to(types)
+    if found is None:
+        raise NavigationError("the root has no parent")
+    return found
 
 
 def must_be_in(name: Name, environment: Env) -> list[Name]:

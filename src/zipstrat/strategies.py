@@ -15,12 +15,12 @@ visits a node before its children, ``bu`` after; children go left to right)
 under a policy for what a success does: ``full`` carries on, ``stop``
 prunes (in ``td`` the node's descendants, in ``bu`` every node above it),
 ``once`` ends the walk and ``again`` normalizes the new node's children and
-retries.  Each traversal is one kernel call; a TU traversal folds its
-successes into the monoid in visit order.  ``innermost`` is the ``bu`` walk
-under ``again``; ``outermost`` iterates a one-shot top-down search to a
-fixed point.  Both take an optional rewrite budget ("fuel"), so divergent
-rule sets fail loudly; :func:`scheme` builds the four whole-tree schemes of
-:data:`SCHEMES`.
+retries.  Each traversal is one kernel call; a TU traversal combines its
+successes in visit order, neighbour with neighbour in a balanced tree.
+``innermost`` is the ``bu`` walk under ``again``; ``outermost`` iterates a
+one-shot top-down search to a fixed point.  Both take an optional rewrite
+budget ("fuel"), so divergent rule sets fail loudly; :func:`scheme` builds
+the four whole-tree schemes of :data:`SCHEMES`.
 """
 
 from __future__ import annotations
@@ -289,23 +289,34 @@ def _tp(s: TP, order: str, policy: str, fuel: int | None = None) -> TP:
 
 
 def _tu(s: TU, order: str, policy: str) -> TU:
-    """The TP walk with a step that folds each success of ``s``, in visit
-    order, into one result and hands the zipper back unchanged."""
+    """The TP walk with a step that collects each success of ``s`` in visit
+    order and hands the zipper back unchanged.
+
+    The successes are then combined neighbour with neighbour, round after
+    round, until one is left: the monoid is associative, so this is the
+    visit-order fold, but a result is copied O(log k) times, not O(k).
+    """
     m = s.monoid
 
     def run(z: Zipper) -> Any | None:
-        acc = None
+        found = []
 
         def visit(z: Zipper) -> Zipper | None:
-            nonlocal acc
             r = s(z)
             if r is None:
                 return None
-            acc = r if acc is None else m.combine(acc, r)
+            found.append(r)
             return z
 
         _tp(visit, order, policy)(z)
-        return m.empty() if acc is None and policy != "once" else acc
+        if not found:
+            return None if policy == "once" else m.empty()
+        while len(found) > 1:
+            pairs = [m.combine(found[i], found[i + 1]) for i in range(0, len(found) - 1, 2)]
+            if len(found) % 2:
+                pairs.append(found[-1])
+            found = pairs
+        return found[0]
 
     return TU(run, m)
 

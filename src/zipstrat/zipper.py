@@ -7,6 +7,12 @@ per-type boilerplate.  Primitive payloads (``str``, ``int``, ``bool``) are
 zero-arity leaf nodes: child indices count every constructor argument, and
 navigation can reach the name inside a binding just like any subtree.
 
+A zipper's path is a persistent linked list of context frames, as in
+Huet's "The Zipper" (JFP 1997): every move makes one cell and shares the
+path above it, so a move costs O(1) at any depth.  :meth:`Zipper.up_to`
+reaches the nearest ancestor of given types by reading the frames, without
+a zipper per level.
+
 All values here (trees, contexts, zippers) are immutable; every "edit"
 produces a fresh value, so sharing across threads is safe.
 """
@@ -17,7 +23,7 @@ import dataclasses
 import itertools
 import json
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -192,8 +198,22 @@ class Language:
             )
 
 
-@dataclass(frozen=True, eq=False)
-class Context:
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Slot fields set once in ``__init__``; assigning or deleting one raises ``AttributeError``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+
+class Context(_Frozen):
     """One step of the path: the parent node, its children and the focus's index.
 
     A move that replaced nothing reuses ``parent`` and ``kids`` as they are.  Once the
@@ -201,9 +221,12 @@ class Context:
     the parent with the current focus there, and equality ignores that slot.
     """
 
-    parent: Any
-    kids: tuple[Any, ...]
-    index: int
+    __slots__ = ("parent", "kids", "index")
+
+    def __init__(self, parent: Any, kids: tuple[Any, ...], index: int):
+        _set(self, "parent", parent)
+        _set(self, "kids", kids)
+        _set(self, "index", index)
 
     def _key(self) -> tuple[Any, ...]:
         return (type(self.parent), self.index, self.kids[: self.index], self.kids[self.index + 1 :])
@@ -214,37 +237,72 @@ class Context:
     def __hash__(self) -> int:
         return hash(self._key())
 
+    def __repr__(self) -> str:
+        return f"Context(parent={type(self.parent).__name__}, index={self.index})"
 
-@dataclass(frozen=True)
-class Zipper:
+
+def _same_path(a: tuple, b: tuple) -> bool:
+    """Equal paths, compared one cell at a time: nested tuple ``==`` would recurse."""
+    while a is not b:
+        if not (a and b):
+            return False
+        (fa, a), (fb, b) = a, b
+        if fa is not fb and fa != fb:
+            return False
+    return True
+
+
+class Zipper(_Frozen):
     """A focused subtree plus the path of context frames back to the root.
 
     Optional moves (:meth:`down_left`, :meth:`down_right`, :meth:`left`,
     :meth:`right`, :meth:`up`) return ``None`` when impossible; the indexed
     accessors (:meth:`child_at`, :meth:`parent`, :meth:`sib_left`,
     :meth:`sib_right`) raise instead, making misuse loud.
+
+    The path is a linked list: ``()`` at the root, else a cell ``(frame, rest)``
+    of the frame nearest the focus and the path above it.  Every move makes one
+    cell and shares ``rest`` as it is, so it costs O(1) at any depth.
     """
 
-    focus: Any
-    path: tuple[Context, ...]
-    lang: Language = field(compare=False, repr=False)
+    __slots__ = ("focus", "path", "lang")
+
+    def __init__(self, focus: Any, path: tuple, lang: Language):
+        _set(self, "focus", focus)
+        _set(self, "path", path)
+        _set(self, "lang", lang)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Zipper):
+            return NotImplemented
+        a, b = self.focus, other.focus
+        return (a is b or a == b) and _same_path(self.path, other.path)
+
+    def __hash__(self) -> int:
+        h = hash(self.focus)
+        path = self.path
+        while path:
+            ctx, path = path
+            h = hash((h, ctx))
+        return h
+
+    def __repr__(self) -> str:
+        return f"Zipper(focus={self.focus!r}, position={self.position!r})"
 
     def _down(self, kids: list[Any], index: int) -> Zipper:
-        frame = Context(self.focus, tuple(kids), index)
-        return Zipper(kids[index], (frame,) + self.path, self.lang)
+        return Zipper(kids[index], (Context(self.focus, tuple(kids), index), self.path), self.lang)
 
     def _sibling(self, step: int) -> Zipper | None:
         if not self.path:
             return None
-        ctx = self.path[0]
+        ctx, rest = self.path
         index = ctx.index + step
         if not 0 <= index < len(ctx.kids):
             return None
         if self.focus is not ctx.kids[ctx.index]:
             up = self.up()
             return up._down(self.lang.children(up.focus), index)
-        frame = Context(ctx.parent, ctx.kids, index)
-        return Zipper(ctx.kids[index], (frame,) + self.path[1:], self.lang)
+        return Zipper(ctx.kids[index], (Context(ctx.parent, ctx.kids, index), rest), self.lang)
 
     def _sib(self, count: int, side: str) -> Zipper:
         z = self
@@ -275,12 +333,34 @@ class Zipper:
     def up(self) -> Zipper | None:
         if not self.path:
             return None
-        ctx = self.path[0]
+        ctx, rest = self.path
         parent = ctx.parent
         if self.focus is not ctx.kids[ctx.index]:
             kids = ctx.kids[: ctx.index] + (self.focus,) + ctx.kids[ctx.index + 1 :]
             parent = self.lang.rebuild(self.lang.tag(parent), kids)
-        return Zipper(parent, self.path[1:], self.lang)
+        return Zipper(parent, rest, self.lang)
+
+    def up_to(self, types: type | tuple[type, ...]) -> Zipper | None:
+        """The nearest ancestor-or-self whose focus is an instance of ``types``.
+
+        ``None`` when there is none up to the root.  Reads the frames' parent
+        nodes and makes one zipper, at the end; from the first frame whose
+        focus was replaced it moves :meth:`up`, so it rebuilds what a loop of
+        :meth:`parent` calls would.
+        """
+        focus, path = self.focus, self.path
+        while not isinstance(focus, types):
+            if not path:
+                return None
+            ctx, rest = path
+            if focus is not ctx.kids[ctx.index]:
+                z = self if path is self.path else Zipper(focus, path, self.lang)
+                while (z := z.up()) is not None:
+                    if isinstance(z.focus, types):
+                        return z
+                return None
+            focus, path = ctx.parent, rest
+        return self if path is self.path else Zipper(focus, path, self.lang)
 
     @property
     def at_root(self) -> bool:
@@ -293,7 +373,13 @@ class Zipper:
         Identifies the focus position independently of subtree content, which
         is what a type-preserving strategy must keep fixed.
         """
-        return tuple(ctx.index for ctx in reversed(self.path))
+        indices = []
+        path = self.path
+        while path:
+            ctx, path = path
+            indices.append(ctx.index)
+        indices.reverse()
+        return tuple(indices)
 
     # -- non-optional accessors --------------------------------------------
 

@@ -382,6 +382,49 @@ def test_scope_attributes_cost_linear_in_a_flat_block(monkeypatch):
     assert calls["child_at"] <= 2 * n
 
 
+def test_scope_attributes_move_up_a_constant_number_of_times(monkeypatch):
+    # A scope attribute reaches its block by reading the path's frames, not by
+    # one up move per spine node above the focus.
+    n = 200
+    calls = Counter()
+    up = Zipper.up
+
+    def counted(self):
+        calls["up"] += 1
+        return up(self)
+
+    monkeypatch.setattr(Zipper, "up", counted)
+    assert errors_strategic(root_zipper(flat_block(n))) == []
+    assert calls["up"] <= 5 * n
+
+
+def test_a_block_table_is_reused_through_an_equal_deep_path():
+    # Paths are linked cells, so comparing two equal ones must walk the cells:
+    # tuple equality would recurse once per frame.
+    n = 5000
+    spine = NestedLet("w", parse("let c = 1 in c").let, EmptyList())
+    for i in reversed(range(n)):
+        spine = Assign(f"x{i}", Const(i), spine)
+    root = Root(Let(spine, Var("w")))
+
+    def nested_block():
+        z = root_zipper(root).child_at(1).child_at(1)
+        for _ in range(n):
+            z = z.child_at(3)
+        return z.child_at(2)
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        first, second = nested_block(), nested_block()
+        assert first.path is not second.path and first == second
+        before, after = env(first), env(second)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [name for name, _ in after] == ["c", "w", *(f"x{i}" for i in reversed(range(n)))]
+    assert after[0][1] is before[0][1]
+
+
 # -- error analyses ----------------------------------------------------------------
 
 

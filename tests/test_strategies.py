@@ -43,6 +43,7 @@ from zipstrat.letlang import (
     Neg,
     Var,
     expr,
+    parse,
     program_step,
     root_zipper,
     select,
@@ -467,6 +468,25 @@ def test_monoid_generality_counting():
     ones = TU(lambda z: 1, count)
     total = apply_tu(full_td_tu(ones), zipper_of(RUNNING_ROOT))
     assert total == len(preorder_tags(RUNNING_ROOT, LANG))
+
+
+def test_tu_traversals_combine_in_a_balanced_tree():
+    # Folding k list results one after another copies about k*k/2 elements;
+    # combining neighbours round after round copies each result log2(k) times.
+    n = 3000
+    copied = []
+    wrapping = Monoid(list, lambda a, b: copied.append(len(a) + len(b)) or a + b)
+    source = "let " + "\n".join(f"x{i} = {i}" for i in range(n)) + "\nin x0"
+    z = root_zipper(parse(source))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 4 * n))
+    try:
+        got = apply_tu(full_td_tu(adhoc_tu(fail_tu(wrapping), List, select)), z)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == [f"x{i}" for i in range(n)]
+    assert len(copied) == n  # one fewer than the results: n names and the end's []
+    assert sum(copied) <= n * 13
 
 
 # -- once traversals --------------------------------------------------------------

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -11,7 +13,20 @@ from hypothesis import strategies as st
 from generators import let_exps, let_programs
 from oracles import preorder_values, replace_at
 from programs import RUNNING, RUNNING_ROOT
-from zipstrat.letlang import LANG, Add, Const, EmptyList, Exp, Let, List, Root, Var
+from zipstrat.letlang import (
+    LANG,
+    Add,
+    Assign,
+    Const,
+    EmptyList,
+    Exp,
+    Let,
+    List,
+    Neg,
+    NestedLet,
+    Root,
+    Var,
+)
 from zipstrat.zipper import (
     ChildIndexError,
     ConstructorTag,
@@ -206,6 +221,86 @@ def test_register_rejects_duplicates_and_nondataclasses():
         lang.register(object)
 
 
+# -- deep paths -------------------------------------------------------------------
+
+
+def neg_chain(depth: int) -> Root:
+    """``let x = -…-1 in x`` with ``depth`` negations, built without recursion."""
+    e = Const(1)
+    for _ in range(depth):
+        e = Neg(e)
+    return Root(Let(Assign("x", e, EmptyList()), Var("x")))
+
+
+def to_bottom(root: Root):
+    """The zipper at the constant under the chain, reached by single moves."""
+    z = to_zipper(root, LANG).down_left().down_left().down_left().right()
+    while isinstance(z.focus, Neg):
+        z = z.down_left()
+    return z
+
+
+def test_deep_paths_need_no_recursion():
+    depth = 50_000
+    root = neg_chain(depth)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        a, b = to_bottom(root), to_bottom(root)
+        assert a.path is not b.path
+        assert a.position == b.position == (0, 0, 1) + (0,) * depth
+        assert a == b and hash(a) == hash(b)
+        assert a != a.up() and a.up() == b.up()
+        assert from_zipper(a) is root
+        assert a.up_to(Assign).focus is root.let.decls
+        assert a.up_to(Assign).position == (0, 0)
+        assert a.up_to(Root).at_root and a.up_to(Const) is a
+        assert a.up_to(NestedLet) is None
+        assert repr(a) == f"Zipper(focus=Const(value=1), position={a.position!r})"
+        assert repr(a.path[0]) == "Context(parent=Neg, index=0)"
+        # Above a replaced focus every frame is stale: up_to rebuilds them all.
+        c = a.trans_m(lambda _: Const(2))
+        assert c != a
+        block = c.up_to(Let)
+        assert not block.at_root and block.position == (0,)
+        assert block.focus is not root.let and block.focus.body == Var("x")
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_zippers_and_frames_are_immutable():
+    z = to_zipper(RUNNING, LANG).down_left()
+    ctx = z.path[0]
+    with pytest.raises(AttributeError):
+        z.focus = Const(1)
+    with pytest.raises(AttributeError):
+        del z.path
+    with pytest.raises(AttributeError):
+        ctx.parent = RUNNING
+    with pytest.raises(AttributeError):
+        ctx.index = 1
+    assert z.focus is RUNNING.decls and ctx.parent is RUNNING
+
+
+def test_a_move_at_depth_copies_no_path():
+    # A move makes one path cell, whatever the depth; copying the path would
+    # allocate eight bytes per frame above the focus.
+    z = to_zipper(neg_chain(10_000), LANG).down_left().down_left().down_left().right()
+    for _ in range(10_000 - 1):
+        z = z.down_left()
+    assert len(z.position) == 10_002
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        child = z.down_left()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert child.position == z.position + (0,)
+    assert peak - base < 2048
+
+
 # -- structured export/import -------------------------------------------------
 
 
@@ -333,3 +428,48 @@ def test_reflection_roundtrip_generated(root):
     for node in preorder_values(root, LANG):
         if not isinstance(node, (str, int, bool)):
             assert LANG.rebuild(LANG.tag(node), LANG.children(node)) == node
+
+
+UP_TO_TYPES = [Root, Let, List, Exp, Assign, NestedLet, Var, Const, str, int, (Root, Let)]
+
+
+@given(
+    let_programs(),
+    st.lists(st.sampled_from(MOVES), max_size=12),
+    st.booleans(),
+    st.lists(st.sampled_from(MOVES), max_size=6),
+    st.sampled_from(UP_TO_TYPES),
+)
+def test_up_to_matches_a_parent_loop(root, moves, replace, more_moves, types):
+    # up_to reads frames instead of moving, but must reach the same place as
+    # parent() in a loop, rebuilding what that loop rebuilds (frames go stale
+    # above a replaced focus, also after further moves).
+    z = _random_walk(to_zipper(root, LANG), moves)
+    if replace:
+        z = _random_walk(z.trans_m(lambda _: FRESH[LANG.nominal(z.focus)]), more_moves)
+    rebuilds = []
+
+    def counted(tag, kids):
+        rebuilds.append(tag)
+        return Language.rebuild(LANG, tag, kids)
+
+    LANG.rebuild = counted
+    try:
+        expected = z
+        while expected is not None and not isinstance(expected.focus, types):
+            expected = expected.up()
+        by_parents = rebuilds[:]
+        rebuilds.clear()
+        got = z.up_to(types)
+    finally:
+        del LANG.rebuild
+    assert rebuilds == by_parents
+    if expected is None:
+        assert got is None
+        return
+    assert got == expected
+    assert got.position == expected.position
+    assert from_zipper(got) == from_zipper(expected)
+    if not replace:
+        assert got.focus is expected.focus
+        assert from_zipper(got) is root
