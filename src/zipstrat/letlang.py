@@ -205,14 +205,14 @@ def _parse_unary(p: TokenStream) -> Exp:
         # A minus directly on an integer literal folds into a signed constant,
         # so optimizer-produced negative constants survive a print/parse trip.
         if p.at("int"):
-            return Const(-int(p.advance().text))
+            return Const(-p.integer())
         return Neg(_parse_unary(p))
     return _parse_atom(p)
 
 
 def _parse_atom(p: TokenStream) -> Exp:
     if p.at("int"):
-        return Const(int(p.advance().text))
+        return Const(p.integer())
     if p.at("name"):
         return Var(p.advance().text)
     if p.at("op", "("):

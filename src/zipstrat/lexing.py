@@ -118,6 +118,19 @@ class TokenStream:
             self.fail(f"expected {want}, found {describe(self.peek())}")
         return self.advance()
 
+    def integer(self) -> int:
+        """Consume the integer literal at the cursor; one ``int()`` rejects is a positioned error.
+
+        The tokenizer's ``isdigit`` accepts digits such as ``²``, and ``int()``
+        refuses literals longer than the interpreter's digit limit.
+        """
+        tok = self.advance()
+        try:
+            return int(tok.text)
+        except ValueError:
+            shown = repr(tok.text) if len(tok.text) <= 20 else f"of {len(tok.text)} characters"
+            raise ParseError(f"invalid integer literal {shown}", tok.line, tok.col) from None
+
     def skip_newlines(self) -> None:
         while self.at("newline"):
             self.advance()

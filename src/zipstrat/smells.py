@@ -160,7 +160,7 @@ def _parse_app(p: TokenStream) -> MExp:
 
 def _parse_atom(p: TokenStream) -> MExp:
     if p.at("int"):
-        return IntLit(int(p.advance().text))
+        return IntLit(p.integer())
     if p.at("keyword", "True") or p.at("keyword", "False"):
         return BoolLit(p.advance().text == "True")
     if p.at("name"):

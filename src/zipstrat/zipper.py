@@ -13,8 +13,8 @@ path above it, so a move costs O(1) at any depth.  :meth:`Zipper.up_to`
 reaches the nearest ancestor of given types by reading the frames, without
 a zipper per level.
 
-All values here (trees, contexts, zippers) are immutable; every "edit"
-produces a fresh value, so sharing across threads is safe.
+All values here are immutable (contexts and zippers are frozen slotted
+dataclasses); every "edit" produces a fresh value, so sharing across threads is safe.
 """
 
 from __future__ import annotations
@@ -198,35 +198,19 @@ class Language:
             )
 
 
-_set = object.__setattr__
-
-
-class _Frozen:
-    """Slot fields set once in ``__init__``; assigning or deleting one raises ``AttributeError``."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
-
-
-class Context(_Frozen):
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class Context:
     """One step of the path: the parent node, its children and the focus's index.
 
     A move that replaced nothing reuses ``parent`` and ``kids`` as they are.  Once the
     focus is replaced, the slot at ``index`` is stale: :meth:`Zipper.up` then rebuilds
     the parent with the current focus there, and equality ignores that slot.
+    The hash reads only the parent's type and the index, never a subtree.
     """
 
-    __slots__ = ("parent", "kids", "index")
-
-    def __init__(self, parent: Any, kids: tuple[Any, ...], index: int):
-        _set(self, "parent", parent)
-        _set(self, "kids", kids)
-        _set(self, "index", index)
+    parent: Any
+    kids: tuple[Any, ...]
+    index: int
 
     def _key(self) -> tuple[Any, ...]:
         return (type(self.parent), self.index, self.kids[: self.index], self.kids[self.index + 1 :])
@@ -235,7 +219,7 @@ class Context(_Frozen):
         return isinstance(other, Context) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash((type(self.parent), self.index))
 
     def __repr__(self) -> str:
         return f"Context(parent={type(self.parent).__name__}, index={self.index})"
@@ -252,7 +236,8 @@ def _same_path(a: tuple, b: tuple) -> bool:
     return True
 
 
-class Zipper(_Frozen):
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class Zipper:
     """A focused subtree plus the path of context frames back to the root.
 
     Optional moves (:meth:`down_left`, :meth:`down_right`, :meth:`left`,
@@ -263,28 +248,23 @@ class Zipper(_Frozen):
     The path is a linked list: ``()`` at the root, else a cell ``(frame, rest)``
     of the frame nearest the focus and the path above it.  Every move makes one
     cell and shares ``rest`` as it is, so it costs O(1) at any depth.
+
+    Equality leaves ``lang`` out; the hash reads only the focus's type and :attr:`position`.
     """
 
-    __slots__ = ("focus", "path", "lang")
-
-    def __init__(self, focus: Any, path: tuple, lang: Language):
-        _set(self, "focus", focus)
-        _set(self, "path", path)
-        _set(self, "lang", lang)
+    focus: Any
+    path: tuple
+    lang: Language
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Zipper):
             return NotImplemented
         a, b = self.focus, other.focus
-        return (a is b or a == b) and _same_path(self.path, other.path)
+        return (a is b or type(a) is type(b) and a == b) and _same_path(self.path, other.path)
 
     def __hash__(self) -> int:
-        h = hash(self.focus)
-        path = self.path
-        while path:
-            ctx, path = path
-            h = hash((h, ctx))
-        return h
+        # Equal zippers have foci of one class and equal paths, so equal positions.
+        return hash((type(self.focus), self.position))
 
     def __repr__(self) -> str:
         return f"Zipper(focus={self.focus!r}, position={self.position!r})"

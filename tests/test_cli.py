@@ -254,6 +254,23 @@ def test_deep_input_exits_4_without_traceback(argv, source):
     assert "Traceback" not in err
 
 
+BAD_LITERALS = {
+    "let-pretty-superscript": (["let", "pretty"], "let a = \u00b2 in a"),
+    "smell-fix-superscript": (["smell", "fix"], "\u00b2"),
+    "let-pretty-5000-digits": (["let", "pretty"], "let a = " + "9" * 5_000 + " in a"),
+}
+
+
+@pytest.mark.parametrize("argv, source", BAD_LITERALS.values(), ids=BAD_LITERALS)
+def test_bad_integer_literal_is_a_syntax_error(argv, source):
+    # ``isdigit`` accepts "\u00b2", and ``int()`` refuses over 4,300 digits.
+    done = run_process(argv, stdin=source.encode())
+    err = done.stderr.decode()
+    assert done.returncode == 1, err
+    assert len(err.splitlines()) == 1 and err.startswith("syntax error: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["let", "opt", "--fuel", "0"],
     ["let", "opt", "--strategy", "sideways"],

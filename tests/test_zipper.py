@@ -268,6 +268,38 @@ def test_deep_paths_need_no_recursion():
         sys.setrecursionlimit(limit)
 
 
+def flat_block(size: int) -> Root:
+    """``let x0 = 0; …; x<size-1> = size-1 in x0``, built without recursion."""
+    spine = EmptyList()
+    for i in reversed(range(size)):
+        spine = Assign(f"x{i}", Const(i), spine)
+    return Root(Let(spine, Var("x0")))
+
+
+def test_hash_reads_no_subtree():
+    # The frames beside the first declaration hold the whole 5,000-deep spine;
+    # hashing them would recurse through it.
+    root = flat_block(5_000)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        a = to_zipper(root, LANG).down_left().down_left().child_at(2)
+        b = to_zipper(root, LANG).child_at(1).child_at(1).down_left().right()
+        assert a.path is not b.path and a.focus == Const(0)
+        assert hash(a) == hash(b) and hash(a.path[0]) == hash(b.path[0])
+        # The focus one level up is the first declaration, the whole spine.
+        assert hash(a.up()) == hash(b.up())
+        table = {a: "first"}
+        assert table[b] == "first" and len({a, b}) == 1
+        c = a.trans_m(lambda _: Const(7))
+        assert c != a and hash(c) == hash(a)
+        assert c not in table
+        # 1 == True, but a bool leaf and an int leaf are foci of two classes.
+        assert to_zipper(True, LANG) != to_zipper(1, LANG)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_zippers_and_frames_are_immutable():
     z = to_zipper(RUNNING, LANG).down_left()
     ctx = z.path[0]
