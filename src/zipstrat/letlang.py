@@ -15,6 +15,7 @@ nesting level is an error.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .lexing import ParseError, TokenStream, describe, tokenize
@@ -148,7 +149,7 @@ def parse(text: str) -> Root:
     least one declaration is required.  Raises :class:`ParseError` with the
     offending line and column.
     """
-    stream = TokenStream(_let_tokens(text))
+    stream = TokenStream(_let_tokens(text), text)
     stream.skip_newlines()
     let = _parse_let(stream)
     stream.skip_newlines()
@@ -489,13 +490,17 @@ def expr(e: Exp) -> Exp | None:
 
     add(e, 0) -> e;  add(0, e) -> e;  add(a, b) -> a+b on constants;
     sub(a, b) -> add(a, neg(b));  neg(neg(e)) -> e;  neg(const) -> signed const.
+
+    The fold declines a sum with more digits than the interpreter's
+    ``int``-to-string limit, which the parser also applies to literals, so
+    every constant the optimizer makes can be printed and parsed again.
     """
     match e:
         case Add(left, Const(0)):
             return left
         case Add(Const(0), right):
             return right
-        case Add(Const(a), Const(b)):
+        case Add(Const(a), Const(b)) if _printable(a + b):
             return Const(a + b)
         case Sub(a, b):
             return Add(a, Neg(b))
@@ -504,6 +509,12 @@ def expr(e: Exp) -> Exp | None:
         case Neg(Const(n)):
             return Const(-n)
     return None
+
+
+def _printable(n: int) -> bool:
+    """``str(n)`` stays within ``sys.get_int_max_str_digits()``; 0 means no limit."""
+    limit = sys.get_int_max_str_digits()
+    return not limit or n.bit_length() <= 3 * limit or abs(n) < 10**limit
 
 
 def exp_c(e: Exp, z: Zipper) -> Exp | None:

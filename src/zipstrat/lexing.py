@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, NoReturn
+import re
+from typing import Iterable, NamedTuple, NoReturn
 
 
 class ParseError(ValueError):
@@ -16,12 +16,15 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "name" | "int" | "op" | "keyword" | "newline" | "eof"
     text: str
-    line: int
-    col: int
+    pos: int  # offset into the source text
+
+
+def _error(text: str, pos: int, message: str) -> ParseError:
+    """A :class:`ParseError` at the 1-based line and column of offset ``pos``."""
+    return ParseError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
 
 
 def tokenize(
@@ -34,53 +37,31 @@ def tokenize(
 ) -> list[Token]:
     """Split ``text`` into tokens; symbols are matched longest-first.
 
-    With ``signed_ints`` a ``-`` directly followed by digits lexes as one
-    integer literal (for grammars without a minus operator).
+    Blanks are space, tab, carriage return and, unless ``keep_newlines``,
+    newline.  With ``signed_ints`` a ``-`` directly followed by digits lexes
+    as one integer literal (for grammars without a minus operator).
     """
-    ordered = sorted(symbols, key=len, reverse=True)
+    blanks = "[ \t\r]*" if keep_newlines else "[ \t\r\n]*"
+    sign = "-?" if signed_ints else ""
+    ops = "|".join(map(re.escape, sorted(symbols, key=len, reverse=True)))
+    pattern = (
+        rf"{blanks}(?:(?P<newline>\n)|(?P<int>{sign}\d+)|(?P<name>\w+)|(?P<op>{ops})"
+        r"|(?P<eof>\Z)|(?P<bad>.))"
+    )
     toks: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            if keep_newlines:
-                toks.append(Token("newline", "\n", line, col))
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit() or (signed_ints and ch == "-" and text[i + 1 : i + 2].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "keyword" if word in keywords else "name"
-            toks.append(Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in ordered:
-            if text.startswith(sym, i):
-                toks.append(Token("op", sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+    for m in re.finditer(pattern, text):
+        kind = m.lastgroup
+        word, pos = m[kind], m.start(kind)
+        if kind == "name":
+            if word in keywords:
+                kind = "keyword"
+            elif not (word[0].isalpha() or word[0] == "_"):
+                kind, word = "bad", word[0]  # a numeral that is no decimal digit, such as '½'
+        if kind == "bad":
+            raise _error(text, pos, f"unexpected character {word!r}")
+        toks.append(Token(kind, word, pos))
+        if kind == "eof":  # after trailing blanks the end would match again, empty
+            break
     return toks
 
 
@@ -95,8 +76,9 @@ def describe(tok: Token) -> str:
 class TokenStream:
     """Cursor over a token list with loud, positioned failures."""
 
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[Token], text: str):
         self._toks = tokens
+        self._text = text
         self._pos = 0
 
     def peek(self) -> Token:
@@ -121,20 +103,18 @@ class TokenStream:
     def integer(self) -> int:
         """Consume the integer literal at the cursor; one ``int()`` rejects is a positioned error.
 
-        The tokenizer's ``isdigit`` accepts digits such as ``²``, and ``int()``
-        refuses literals longer than the interpreter's digit limit.
+        ``int()`` refuses literals longer than the interpreter's digit limit.
         """
         tok = self.advance()
         try:
             return int(tok.text)
         except ValueError:
             shown = repr(tok.text) if len(tok.text) <= 20 else f"of {len(tok.text)} characters"
-            raise ParseError(f"invalid integer literal {shown}", tok.line, tok.col) from None
+            raise _error(self._text, tok.pos, f"invalid integer literal {shown}") from None
 
     def skip_newlines(self) -> None:
         while self.at("newline"):
             self.advance()
 
     def fail(self, message: str) -> NoReturn:
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
+        raise _error(self._text, self.peek().pos, message)

@@ -100,7 +100,7 @@ _KEYWORDS = frozenset({"if", "then", "else", "True", "False"})
 
 def parse_m(text: str) -> MExp:
     stream = TokenStream(
-        tokenize(text, symbols=_SYMBOLS, keywords=_KEYWORDS, signed_ints=True)
+        tokenize(text, symbols=_SYMBOLS, keywords=_KEYWORDS, signed_ints=True), text
     )
     e = _parse_exp(stream)
     if not stream.at("eof"):

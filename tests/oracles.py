@@ -6,7 +6,62 @@ from __future__ import annotations
 
 from zipstrat import letlang as L
 from zipstrat import smells as S
+from zipstrat.lexing import ParseError
 from zipstrat.zipper import Language, Zipper
+
+
+# -- tokens --------------------------------------------------------------------
+
+
+def reference_tokens(text, *, symbols, keywords=frozenset(), keep_newlines=False, signed_ints=False):
+    """The character-at-a-time scanner that ``lexing.tokenize`` replaced.
+
+    Yields ``(kind, text, line, col)`` tuples, so a caller sees the tokens
+    before a :class:`ParseError` too.
+    """
+    ordered = sorted(symbols, key=len, reverse=True)
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            if keep_newlines:
+                yield ("newline", "\n", line, col)
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch.isdigit() or (signed_ints and ch == "-" and text[i + 1 : i + 2].isdigit()):
+            j = i + 1
+            while j < n and text[j].isdigit():
+                j += 1
+            yield ("int", text[i:j], line, col)
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            kind = "keyword" if word in keywords else "name"
+            yield (kind, word, line, col)
+            col += j - i
+            i = j
+            continue
+        for sym in ordered:
+            if text.startswith(sym, i):
+                yield ("op", sym, line, col)
+                col += len(sym)
+                i += len(sym)
+                break
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+    yield ("eof", "", line, col)
 
 
 # -- tree walks ----------------------------------------------------------------

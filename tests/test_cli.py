@@ -13,7 +13,7 @@ import pytest
 from programs import ERRORS_SOURCE, RUNNING_SOURCE
 from zipstrat import letlang
 from zipstrat.cli import main
-from zipstrat.zipper import export_ast
+from zipstrat.zipper import export_ast, import_json
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -304,3 +304,14 @@ def test_main_restores_the_recursion_limit(capsys, monkeypatch, argv, stdin, cod
         assert sys.getrecursionlimit() == 1_500
     finally:
         sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("output", ["text", "ast"])
+def test_let_opt_keeps_constants_printable(capsys, source_file, output):
+    # Folding two 4,300-digit literals would exceed ``int``'s string limit.
+    nines = "9" * 4_300
+    source = f"let a = {nines} + {nines} in a"
+    code, out, err = run(capsys, ["let", "opt", "--output", output, "--input", source_file(source)])
+    assert code == 0, err
+    result = letlang.parse(out) if output == "text" else import_json(out, letlang.LANG)
+    assert letlang.eval_program(result) == letlang.eval_program(letlang.parse(source))

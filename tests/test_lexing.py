@@ -1,0 +1,81 @@
+"""The tokenizer against the character-at-a-time scanner it replaced."""
+
+from __future__ import annotations
+
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import reference_tokens
+from zipstrat import letlang, smells
+from zipstrat.lexing import ParseError, tokenize
+
+GRAMMARS = {
+    "let": dict(symbols=letlang._SYMBOLS, keywords=letlang._KEYWORDS, keep_newlines=True),
+    "smell": dict(symbols=smells._SYMBOLS, keywords=smells._KEYWORDS, signed_ints=True),
+}
+
+# '٣' is a decimal digit that int() reads, '½' neither a digit nor a letter
+# to either scanner, and '²' a digit to ``str.isdigit`` but not to ``\d``.
+SOURCES = st.lists(
+    st.one_of(
+        st.sampled_from(" \t\r\n\x0b"),
+        st.sampled_from(sorted(set(letlang._SYMBOLS + smells._SYMBOLS))),
+        st.sampled_from("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"),
+        st.sampled_from("0123456789"),
+        st.sampled_from("é٣½²"),
+        st.sampled_from(sorted(letlang._KEYWORDS | smells._KEYWORDS)),
+    ),
+    max_size=30,
+).map("".join)
+
+
+def _line_col(text: str, pos: int) -> tuple[int, int]:
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
+def _reference(text: str, opts: dict):
+    toks = []
+    try:
+        for tok in reference_tokens(text, **opts):
+            toks.append(tok)
+    except ParseError as error:
+        return toks, (error.message, error.line, error.col)
+    return toks, None
+
+
+@pytest.mark.parametrize("opts", GRAMMARS.values(), ids=GRAMMARS)
+@settings(max_examples=500)
+@given(text=SOURCES)
+def test_tokenize_agrees_with_the_reference_scanner(opts, text):
+    ref, ref_error = _reference(text, opts)
+    try:
+        toks, error = tokenize(text, **opts), None
+    except ParseError as exc:
+        toks, error = [], (exc.message, exc.line, exc.col)
+    bad = next((t for t in ref if t[0] == "int" and not t[1].lstrip("-").isdecimal()), None)
+    if bad is None:
+        assert error == ref_error
+        if error is None:
+            assert [(kind, word, *_line_col(text, pos)) for kind, word, pos in toks] == ref
+        return
+    # The reference lexes a digit that is no decimal digit, such as '²', into an
+    # integer that ``int()`` rejects; the tokenizer stops at it, or at a '-'
+    # directly before it, which is then no integer literal either.
+    kind, word, line, col = bad
+    k = len(re.match(r"(?:-?\d+)?", word)[0])
+    assert error == (f"unexpected character {word[k]!r}", line, col + k)
+
+
+@pytest.mark.parametrize("parse, text, line, col", [
+    (letlang.parse, "let a = 1\n  b = 2 +\nin a", 2, 10),
+    (letlang.parse, "let a = 1 in\r\n\ta +", 2, 5),
+    (letlang.parse, "let a = 1\n  b = " + "9" * 5_000 + " in a", 2, 7),
+    (smells.parse_m, "[1,\n  x ++", 2, 7),
+], ids=["let-expected", "let-eof", "let-integer", "smell-eof"])
+def test_stream_errors_carry_the_line_and_column_of_the_offending_token(parse, text, line, col):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert (info.value.line, info.value.col) == (line, col)
