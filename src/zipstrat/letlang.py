@@ -126,22 +126,6 @@ _SYMBOLS = ("+", "-", "=", ";", "(", ")")
 _KEYWORDS = frozenset({"let", "in"})
 
 
-def _let_tokens(text: str):
-    toks = tokenize(text, symbols=_SYMBOLS, keywords=_KEYWORDS, keep_newlines=True)
-    # Newlines separate declarations; inside parentheses they are noise.
-    out, depth = [], 0
-    for t in toks:
-        if t.kind == "op":
-            if t.text == "(":
-                depth += 1
-            elif t.text == ")":
-                depth = max(0, depth - 1)
-        if t.kind == "newline" and depth > 0:
-            continue
-        out.append(t)
-    return out
-
-
 def parse(text: str) -> Root:
     """Parse a program: ``let`` declarations (one per line or ``;``-separated) ``in`` body.
 
@@ -149,7 +133,8 @@ def parse(text: str) -> Root:
     least one declaration is required.  Raises :class:`ParseError` with the
     offending line and column.
     """
-    stream = TokenStream(_let_tokens(text), text)
+    tokens = tokenize(text, symbols=_SYMBOLS, keywords=_KEYWORDS, keep_newlines=True)
+    stream = TokenStream(tokens, text)
     stream.skip_newlines()
     let = _parse_let(stream)
     stream.skip_newlines()
@@ -217,8 +202,11 @@ def _parse_atom(p: TokenStream) -> Exp:
     if p.at("name"):
         return Var(p.advance().text)
     if p.at("op", "("):
+        # Newlines separate declarations; inside parentheses they are blanks.
+        p.parens += 1
         p.advance()
         e = _parse_exp(p)
+        p.parens -= 1
         p.expect("op", ")")
         return e
     p.fail(f"expected an expression, found {describe(p.peek())}")

@@ -80,6 +80,7 @@ class TokenStream:
         self._toks = tokens
         self._text = text
         self._pos = 0
+        self.parens = 0  # open parentheses; while positive, advance skips newlines
 
     def peek(self) -> Token:
         return self._toks[self._pos]
@@ -88,6 +89,8 @@ class TokenStream:
         tok = self._toks[self._pos]
         if tok.kind != "eof":
             self._pos += 1
+            while self.parens and self._toks[self._pos].kind == "newline":
+                self._pos += 1
         return tok
 
     def at(self, kind: str, text: str | None = None) -> bool:

@@ -9,9 +9,8 @@ navigation can reach the name inside a binding just like any subtree.
 
 A zipper's path is a persistent linked list of context frames, as in
 Huet's "The Zipper" (JFP 1997): every move makes one cell and shares the
-path above it, so a move costs O(1) at any depth.  :meth:`Zipper.up_to`
-reaches the nearest ancestor of given types by reading the frames, without
-a zipper per level.
+path above it, so a move costs O(1) at any depth.  A replaced focus is
+plugged back into its parent in one place, :func:`_write_back`.
 
 All values here are immutable (contexts and zippers are frozen slotted
 dataclasses); every "edit" produces a fresh value, so sharing across threads is safe.
@@ -76,22 +75,19 @@ class _CtorSpec:
     variadic: bool
 
 
-def _leaf_kind(value: Any) -> str | None:
-    return type(value).__name__ if type(value) in _LEAF_TYPES else None
-
-
 class Language:
     """Reflection registry for one family of node types.
 
     A language registers each nominal type together with its constructor
     classes; tags, ordered child lists, and rebuilds are all derived from
     the dataclass fields, including leaf payloads and (single-field)
-    variadic constructors such as list literals.
+    variadic constructors such as list literals.  Leaves (``bool``, ``int``,
+    ``str``) are zero-field constructors of their own type in every table.
     """
 
     def __init__(self, name: str):
         self.name = name
-        self._ctors: dict[type, _CtorSpec] = {}
+        self._ctors: dict[type, _CtorSpec] = {t: _CtorSpec(t, t, (), False) for t in _LEAF_TYPES}
         self._by_name: dict[tuple[str, str], _CtorSpec] = {}
 
     def register(self, base: type, *ctors: type) -> None:
@@ -137,35 +133,27 @@ class Language:
         return tuple(specs)
 
     def is_registered(self, value: Any) -> bool:
-        return type(value) in self._ctors or _leaf_kind(value) is not None
+        return type(value) in self._ctors
 
-    def _spec(self, value: Any) -> _CtorSpec | None:
-        """The constructor spec of ``value``; ``None`` for a leaf, loud when unregistered."""
+    def _spec(self, value: Any) -> _CtorSpec:
+        """The constructor spec of ``value``; loud when unregistered."""
         spec = self._ctors.get(type(value))
-        if spec is None and _leaf_kind(value) is None:
-            raise RegistrationError(
-                f"value of unregistered type {type(value).__name__}: {value!r}"
-            )
+        if spec is None:
+            raise RegistrationError(f"value of unregistered type {type(value).__name__}: {value!r}")
         return spec
 
     def nominal(self, value: Any) -> type:
         """Runtime type identity of a value: its registered base type, or its leaf type."""
-        spec = self._spec(value)
-        return type(value) if spec is None else spec.base
+        return self._spec(value).base
 
     def tag(self, value: Any) -> ConstructorTag:
         spec = self._spec(value)
-        if spec is None:
-            kind = type(value).__name__
-            return ConstructorTag(kind, kind, 0)
         arity = len(getattr(value, spec.fields[0].name)) if spec.variadic else len(spec.fields)
         return ConstructorTag(spec.base.__name__, spec.cls.__name__, arity)
 
     def children(self, value: Any) -> list[Any]:
         """Ordered children, counting every constructor argument (leaves included)."""
         spec = self._spec(value)
-        if spec is None:
-            return []
         if spec.variadic:
             return list(getattr(value, spec.fields[0].name))
         return [getattr(value, f.name) for f in spec.fields]
@@ -190,7 +178,8 @@ class Language:
         if f.leaf:
             ok = type(child) is f.typ
         else:
-            ok = type(child) in self._ctors and isinstance(child, f.typ)
+            kind = type(child)
+            ok = kind in self._ctors and kind not in _LEAF_TYPES and isinstance(child, f.typ)
         if not ok:
             raise RebuildError(
                 f"{spec.cls.__name__}.{f.name} expects {f.typ.__name__},"
@@ -203,9 +192,9 @@ class Context:
     """One step of the path: the parent node, its children and the focus's index.
 
     A move that replaced nothing reuses ``parent`` and ``kids`` as they are.  Once the
-    focus is replaced, the slot at ``index`` is stale: :meth:`Zipper.up` then rebuilds
-    the parent with the current focus there, and equality ignores that slot.
-    The hash reads only the parent's type and the index, never a subtree.
+    focus is replaced, the slot at ``index`` is stale: a move off the frame rebuilds
+    the parent with the current focus there (:func:`_write_back`), and equality ignores
+    that slot.  The hash reads only the parent's type and the index, never a subtree.
     """
 
     parent: Any
@@ -223,6 +212,12 @@ class Context:
 
     def __repr__(self) -> str:
         return f"Context(parent={type(self.parent).__name__}, index={self.index})"
+
+
+def _write_back(focus: Any, ctx: Context, lang: Language) -> tuple[Any, tuple[Any, ...]]:
+    """``ctx.parent`` rebuilt with a replaced ``focus`` at its index, and the kids it was given."""
+    kids = ctx.kids[: ctx.index] + (focus,) + ctx.kids[ctx.index + 1 :]
+    return lang.rebuild(lang.tag(ctx.parent), kids), kids
 
 
 def _same_path(a: tuple, b: tuple) -> bool:
@@ -279,10 +274,10 @@ class Zipper:
         index = ctx.index + step
         if not 0 <= index < len(ctx.kids):
             return None
-        if self.focus is not ctx.kids[ctx.index]:
-            up = self.up()
-            return up._down(self.lang.children(up.focus), index)
-        return Zipper(ctx.kids[index], (Context(ctx.parent, ctx.kids, index), rest), self.lang)
+        parent, kids = ctx.parent, ctx.kids
+        if self.focus is not kids[ctx.index]:
+            parent, kids = _write_back(self.focus, ctx, self.lang)
+        return Zipper(kids[index], (Context(parent, kids, index), rest), self.lang)
 
     def _sib(self, count: int, side: str) -> Zipper:
         z = self
@@ -316,30 +311,24 @@ class Zipper:
         ctx, rest = self.path
         parent = ctx.parent
         if self.focus is not ctx.kids[ctx.index]:
-            kids = ctx.kids[: ctx.index] + (self.focus,) + ctx.kids[ctx.index + 1 :]
-            parent = self.lang.rebuild(self.lang.tag(parent), kids)
+            parent = _write_back(self.focus, ctx, self.lang)[0]
         return Zipper(parent, rest, self.lang)
 
     def up_to(self, types: type | tuple[type, ...]) -> Zipper | None:
         """The nearest ancestor-or-self whose focus is an instance of ``types``.
 
         ``None`` when there is none up to the root.  Reads the frames' parent
-        nodes and makes one zipper, at the end; from the first frame whose
-        focus was replaced it moves :meth:`up`, so it rebuilds what a loop of
-        :meth:`parent` calls would.
+        nodes and makes one zipper, at the end.  Above a replaced focus every
+        frame is stale; each is rebuilt as it is read, without a zipper per
+        level, which rebuilds what a loop of :meth:`parent` calls would.
         """
         focus, path = self.focus, self.path
         while not isinstance(focus, types):
             if not path:
                 return None
-            ctx, rest = path
-            if focus is not ctx.kids[ctx.index]:
-                z = self if path is self.path else Zipper(focus, path, self.lang)
-                while (z := z.up()) is not None:
-                    if isinstance(z.focus, types):
-                        return z
-                return None
-            focus, path = ctx.parent, rest
+            ctx, path = path
+            stale = focus is not ctx.kids[ctx.index]
+            focus = _write_back(focus, ctx, self.lang)[0] if stale else ctx.parent
         return self if path is self.path else Zipper(focus, path, self.lang)
 
     @property
@@ -423,14 +412,13 @@ def from_zipper(z: Zipper) -> Any:
 
 # -- structured AST export/import -------------------------------------------
 
-_LEAF_BY_KIND = {"bool": bool, "int": int, "str": str}
+_LEAF_BY_KIND = {t.__name__: t for t in _LEAF_TYPES}
 
 
 def export_ast(value: Any, lang: Language) -> dict[str, Any]:
     """Serialize a tree: nodes as type/ctor/children objects, leaves as kind/value."""
-    kind = _leaf_kind(value)
-    if kind is not None:
-        return {"leaf": kind, "value": value}
+    if type(value) in _LEAF_TYPES:
+        return {"leaf": type(value).__name__, "value": value}
     tag = lang.tag(value)
     return {
         "type": tag.type_name,
@@ -444,15 +432,16 @@ def import_ast(data: Any, lang: Language) -> Any:
     if not isinstance(data, dict):
         raise RebuildError(f"expected an object, got {type(data).__name__}")
     if "leaf" in data:
-        typ = _LEAF_BY_KIND.get(data.get("leaf"))
-        value = data.get("value")
-        if typ is None or type(value) is not typ:
+        kind, value = data.get("leaf"), data.get("value")
+        if not isinstance(kind, str) or type(value) is not _LEAF_BY_KIND.get(kind):
             raise RebuildError(f"malformed leaf entry: {data!r}")
         return value
     try:
         type_name, ctor_name, children = data["type"], data["ctor"], data["children"]
     except KeyError as exc:
         raise RebuildError(f"node entry missing key {exc}") from exc
+    if not (isinstance(type_name, str) and isinstance(ctor_name, str) and type(children) is list):
+        raise RebuildError("a node entry needs a string type and ctor and a list of children")
     kids = [import_ast(c, lang) for c in children]
     return lang.rebuild(ConstructorTag(type_name, ctor_name, len(kids)), kids)
 

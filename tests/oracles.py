@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from zipstrat import letlang as L
 from zipstrat import smells as S
-from zipstrat.lexing import ParseError
+from zipstrat.lexing import ParseError, TokenStream, tokenize
 from zipstrat.zipper import Language, Zipper
 
 
@@ -62,6 +62,35 @@ def reference_tokens(text, *, symbols, keywords=frozenset(), keep_newlines=False
         else:
             raise ParseError(f"unexpected character {ch!r}", line, col)
     yield ("eof", "", line, col)
+
+
+def let_tokens_reference(text):
+    """The let tokens with the newlines inside parentheses dropped: the filter
+    that ran between ``tokenize`` and the let parser before the parser
+    skipped those newlines itself."""
+    toks = tokenize(text, symbols=L._SYMBOLS, keywords=L._KEYWORDS, keep_newlines=True)
+    # Newlines separate declarations; inside parentheses they are noise.
+    out, depth = [], 0
+    for t in toks:
+        if t.kind == "op":
+            if t.text == "(":
+                depth += 1
+            elif t.text == ")":
+                depth = max(0, depth - 1)
+        if t.kind == "newline" and depth > 0:
+            continue
+        out.append(t)
+    return out
+
+
+class PlainTokenStream(TokenStream):
+    """The token stream the let parser read those filtered tokens from: it skips nothing."""
+
+    def advance(self):
+        tok = self._toks[self._pos]
+        if tok.kind != "eof":
+            self._pos += 1
+        return tok
 
 
 # -- tree walks ----------------------------------------------------------------

@@ -1,14 +1,16 @@
-"""The tokenizer against the character-at-a-time scanner it replaced."""
+"""The tokenizer against the character-at-a-time scanner it replaced, and the
+let parser's newline rule against the token filter it replaced."""
 
 from __future__ import annotations
 
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_tokens
+from oracles import PlainTokenStream, let_tokens_reference, reference_tokens
 from zipstrat import letlang, smells
 from zipstrat.lexing import ParseError, tokenize
 
@@ -79,3 +81,59 @@ def test_stream_errors_carry_the_line_and_column_of_the_offending_token(parse, t
     with pytest.raises(ParseError) as info:
         parse(text)
     assert (info.value.line, info.value.col) == (line, col)
+
+
+# Token lists of small let expressions with nested parentheses.
+LET_EXPS = st.recursive(
+    st.sampled_from(["1", "x", "y"]).map(lambda atom: [atom]),
+    lambda sub: st.one_of(
+        sub.map(lambda e: ["(", *e, ")"]),
+        st.tuples(sub, st.sampled_from("+-"), sub).map(lambda t: [*t[0], t[1], *t[2]]),
+        sub.map(lambda e: ["-", *e]),
+    ),
+    max_leaves=6,
+)
+# Inside parentheses a blank may hold newlines; outside it mostly does not.
+INNER_BLANKS = st.sampled_from(["", " ", "\n", " \n\t", "\n\n", "\r\n "])
+OUTER_BLANKS = st.sampled_from([" "] * 9 + ["\n"])
+STRAYS = ["(", ")", "\n", "+", "=", ";", "let", "in"]
+
+
+@st.composite
+def let_sources(draw):
+    """A let program whose blanks inside parentheses hold newlines, some corrupted."""
+    decls = draw(st.lists(st.tuples(st.sampled_from("abx"), LET_EXPS), min_size=1, max_size=3))
+    toks = ["let"]
+    for i, (name, exp) in enumerate(decls):
+        toks += ([draw(st.sampled_from([";", "\n"]))] if i else []) + [name, "=", *exp]
+    toks += ["in", *draw(LET_EXPS)]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        i = draw(st.integers(0, len(toks)))
+        if draw(st.booleans()) and i < len(toks):
+            del toks[i]
+        else:
+            toks.insert(i, draw(st.sampled_from(STRAYS)))
+    text, depth = [draw(OUTER_BLANKS)], 0
+    for tok in toks:
+        depth += (tok == "(") - (tok == ")" and depth > 0)
+        text += [tok, draw(INNER_BLANKS if depth > 0 else OUTER_BLANKS)]
+    return "".join(text)
+
+
+def _parsed(text: str):
+    try:
+        return letlang.parse(text)
+    except ParseError as error:
+        return (error.message, error.line, error.col)
+
+
+@settings(max_examples=500)
+@given(text=let_sources())
+def test_let_parse_agrees_with_the_newline_filter(text):
+    # The parser reads the tokenizer's output as it is; the reference drops the
+    # newlines inside parentheses before a stream that skips nothing hands them on.
+    new = _parsed(text)
+    with mock.patch.object(letlang, "tokenize", lambda text, **_: let_tokens_reference(text)):
+        with mock.patch.object(letlang, "TokenStream", PlainTokenStream):
+            old = _parsed(text)
+    assert new == old

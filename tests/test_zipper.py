@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import sys
 import tracemalloc
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -27,6 +30,7 @@ from zipstrat.letlang import (
     Root,
     Var,
 )
+from zipstrat import zipper
 from zipstrat.zipper import (
     ChildIndexError,
     ConstructorTag,
@@ -35,6 +39,7 @@ from zipstrat.zipper import (
     RebuildError,
     RegistrationError,
     TypePreservationError,
+    Zipper,
     export_ast,
     export_json,
     from_zipper,
@@ -333,6 +338,66 @@ def test_a_move_at_depth_copies_no_path():
     assert peak - base < 2048
 
 
+# -- write-back of a replaced focus ----------------------------------------------
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of ``Zipper.up``, ``Language.children`` and ``Language.rebuild`` calls."""
+    counts = Counter()
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((Zipper, "up"), (Language, "children"), (Language, "rebuild")):
+        counted(owner, name)
+    return counts
+
+
+def test_a_sibling_move_after_trans_m_makes_one_frame(calls):
+    # The frame of the sibling is made from the rebuilt parent and the children
+    # it was built from: no zipper one level up, no second read of the children.
+    z = to_zipper(RUNNING, LANG).child_at(1).child_at(2).trans_m(lambda _: Const(7))
+    for side in ("right", "left"):
+        calls.clear()
+        moved = getattr(z, side)()
+        assert calls == {"rebuild": 1}
+        ctx = moved.path[0]
+        assert ctx.kids[1] is z.focus and ctx.parent.exp is z.focus
+        assert moved.focus is ctx.kids[ctx.index] and moved.path[1] is z.path[1]
+
+
+def test_up_to_above_a_replaced_focus_makes_no_zipper_per_level(calls):
+    depth = 50
+    z = to_bottom(neg_chain(depth)).trans_m(lambda _: Const(2))
+    calls.clear()
+    block = z.up_to(Let)
+    assert calls == {"rebuild": depth + 2}  # every Neg, the Assign and the Let
+    assert block.position == (0,) and block.focus == from_zipper(z).let
+
+
+def test_only_the_write_back_and_import_rebuild():
+    # A replaced focus is plugged into its parent in one place; a second copy of
+    # that rule would have to be kept in step with it by hand.
+    tree = ast.parse(Path(zipper.__file__).read_text(encoding="utf-8"))
+    callers = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "rebuild"
+    }
+    assert callers == {"_write_back", "import_ast"}
+
+
 # -- structured export/import -------------------------------------------------
 
 
@@ -364,6 +429,16 @@ def test_import_rejects_malformed():
         import_ast({"leaf": "int", "value": "5"}, LANG)
     with pytest.raises(RebuildError):
         import_ast({"type": "Exp", "ctor": "Add"}, LANG)
+    # Unhashable kinds, types and constructors, and children that are no list.
+    one = [{"leaf": "int", "value": 1}]
+    for data in (
+        {"leaf": [], "value": 1},
+        {"type": ["Exp"], "ctor": "Const", "children": one},
+        {"type": "Exp", "ctor": {}, "children": []},
+        {"type": "Exp", "ctor": "Const", "children": {"leaf": "int", "value": 1}},
+    ):
+        with pytest.raises(RebuildError):
+            import_ast(data, LANG)
 
 
 # -- law properties -------------------------------------------------------------
