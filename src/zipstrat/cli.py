@@ -9,8 +9,9 @@ Subcommands::
     zipstrat smell fix      rewrite a mini-language expression smell-free
 
 Input, from a file or standard input, must be UTF-8.  Exit codes: 0 success,
-1 syntax error or unreadable input, 2 scope errors, 3 rewrite budget exhausted,
-4 input nested too deeply, 5 usage error (a bad option or argument).
+1 syntax error, unreadable input or output that cannot be written (a closed
+pipe), 2 scope errors, 3 rewrite budget exhausted, 4 input nested too deeply,
+5 usage error (a bad option or argument).
 Diagnostics go to standard error, one line each.
 """
 

@@ -273,16 +273,14 @@ def _pretty_exp(e: Exp, prec: int) -> str:
 # The equations are the paper's: dcli accumulates down the declaration spine,
 # dclo is dcli at the spine's end, env is the enclosing block's dclo.  Read
 # literally they recompute the whole block at every use, so each block keeps
-# one binder table instead: its own (name, site) entries, innermost first,
-# built in one walk down its spine.  env is that table followed by the outer
-# environment, and dcli at a spine position is the table's matching suffix.
-# The table is memoized on the Let node (outside its dataclass fields, so
-# equality, hashing and the reflected arity are untouched), and reused only
-# when the Let is reached again through an equal path, so its sites are the
-# ones a fresh walk would build.  A Let that the walk up rebuilt after a
-# rewrite (its frame still holds the old node) is never given a table: the
-# copy is garbage once the walk ends, and a table, whose sites point back at
-# it, would keep it alive in a reference cycle.
+# one scope record instead (:func:`_scope`): its visible environment, its own
+# entries first, how many of them it declares, and its level.  env copies the
+# list, dcli slices it and lev reads the level.  The record is memoized on the
+# Let node (outside its dataclass fields, so equality, hashing and the
+# reflected arity are untouched) with the path it was built on, and reused only
+# for that very path, which fixes every site in it.  A Let that the walk up
+# rebuilt after a rewrite gets no record, and neither does a block inside one:
+# the record's sites would keep the garbage copy alive in a reference cycle.
 
 Env = list[tuple[Name, Zipper]]
 
@@ -305,45 +303,50 @@ def lexeme_assign(z: Zipper) -> Exp | None:
     return node.exp if isinstance(node, Assign) else None
 
 
-def _binders(block: Zipper) -> Env:
-    """The block's own declarations, innermost first: the memoized table.
+def _scope(block: Zipper) -> tuple[Env, int, int]:
+    """The block's visible environment, how many of its entries it declares, and its level.
 
-    Callers copy it; the cached list is never handed out.
+    Callers copy or slice the list; the memoized one is never handed out.
     """
     node = block.focus
-    memo = node.__dict__.get("_binders")
-    if memo is not None and memo[0] == block:
+    memo = node.__dict__.get("_scope", (None,))
+    if memo[0] is block.path:
         return memo[1]
-    table = []
+    visible = []
     site = block.child_at(1)
     while isinstance(site.focus, (Assign, NestedLet)):
-        table.append((lexeme(site), site))
+        visible.append((lexeme(site), site))
         site = site.child_at(3)
-    table.reverse()
-    frame = block.path[0] if block.path else None
-    if frame is None or frame.kids[frame.index] is node:
-        object.__setattr__(node, "_binders", (block, table))
-    return table
-
-
-def _outer(block: Zipper) -> Env:
-    """The environment a block restarts from: none under the root, else its parent's."""
-    parent = block.parent()
-    return [] if isinstance(parent.focus, Root) else env(parent)
+    visible.reverse()
+    own, level = len(visible), 1
+    outer = block.parent()
+    ctx = block.path[0]
+    keep = ctx.kids[ctx.index] is node
+    if not isinstance(outer.focus, Root):
+        outer = _enclosing(outer, Let)
+        above, _, level = _scope(outer)
+        visible += above
+        level += 1
+        keep = keep and outer.focus.__dict__.get("_scope", (None,))[0] is outer.path
+    scope = visible, own, level
+    if keep:
+        object.__setattr__(node, "_scope", (block.path, scope))
+    return scope
 
 
 def dcli(z: Zipper) -> Env:
     """Declarations accumulated above and left of the focus (inherited).
 
     Restarts from the outer environment at a nested block, so level checks
-    can still see outer declarations.  Below a spine node this is the
-    suffix of the block's table that the spine above the focus declares.
+    can still see outer declarations.  Below a spine node: the block's own
+    entries that the spine above the focus declares, then the outer ones.
     """
     node = z.focus
     if isinstance(node, Root):
         return []
     if isinstance(node, Let):
-        return _outer(z)
+        visible, own, _ = _scope(z)
+        return visible[own:]
     z = z.parent()
     if not isinstance(z.focus, (Assign, NestedLet, Let)):
         raise ScopeDomainError(f"dcli undefined under {type(z.focus).__name__}")
@@ -353,8 +356,8 @@ def dcli(z: Zipper) -> Env:
     while path is not block.path:
         above += 1
         path = path[1]
-    table = _binders(block)
-    return table[len(table) - above :] + _outer(block)
+    visible, own, _ = _scope(block)
+    return visible[own - above :]
 
 
 def dclo(z: Zipper) -> Env:
@@ -373,17 +376,13 @@ def env(z: Zipper) -> Env:
     z = _enclosing(z, (Root, Let))
     if isinstance(z.focus, Root):
         z = z.child_at(1)
-    return _binders(z) + _outer(z)
+    return _scope(z)[0].copy()
 
 
 def lev(z: Zipper) -> int:
     """Nesting level: 0 at the root, +1 per enclosing block."""
-    level = 0
     z = _enclosing(z, (Root, Let))
-    while isinstance(z.focus, Let):
-        level += 1
-        z = _enclosing(z.parent(), (Root, Let))
-    return level
+    return 0 if isinstance(z.focus, Root) else _scope(z)[2]
 
 
 def _enclosing(z: Zipper, types: type | tuple[type, ...]) -> Zipper:

@@ -159,7 +159,10 @@ class Language:
         return [getattr(value, f.name) for f in spec.fields]
 
     def rebuild(self, tag: ConstructorTag, children: Sequence[Any]) -> Any:
-        """Reassemble a node; fails loudly on child count or child type mismatch."""
+        """Reassemble a node; fails loudly on child count or child type mismatch.
+
+        A constructor's own rejection of its children is a :class:`RebuildError` too.
+        """
         spec = self._by_name.get((tag.type_name, tag.ctor_name))
         if spec is None:
             raise RegistrationError(f"unknown constructor {tag.type_name}.{tag.ctor_name}")
@@ -172,7 +175,10 @@ class Language:
         fields = itertools.repeat(spec.fields[0]) if spec.variadic else spec.fields
         for f, c in zip(fields, children):
             self._check_child(spec, f, c)
-        return spec.cls(tuple(children)) if spec.variadic else spec.cls(*children)
+        try:
+            return spec.cls(tuple(children)) if spec.variadic else spec.cls(*children)
+        except (TypeError, ValueError) as exc:
+            raise RebuildError(f"{tag.ctor_name} rejected its children: {exc}") from exc
 
     def _check_child(self, spec: _CtorSpec, f: _FieldSpec, child: Any) -> None:
         if f.leaf:
@@ -280,6 +286,8 @@ class Zipper:
         return Zipper(kids[index], (Context(parent, kids, index), rest), self.lang)
 
     def _sib(self, count: int, side: str) -> Zipper:
+        if count < 0:
+            raise NavigationError(f"negative sibling count {count}")
         z = self
         for _ in range(count):
             z = getattr(z, side)()

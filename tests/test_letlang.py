@@ -19,6 +19,7 @@ from oracles import (
     let_names_walk,
     normalize_anywhere,
     positions,
+    preorder_values,
     scope_errors_walk,
     subtree_at,
     typed_rule,
@@ -330,6 +331,26 @@ def test_a_block_rebuilt_on_the_way_up_keeps_no_table():
         gc.enable()
 
 
+def test_a_block_inside_a_rebuilt_block_keeps_no_record():
+    # The inner block's own frame is current, but its outer entries sit in the
+    # rebuilt copy of the outer block: a record kept on the inner Let node, which
+    # the original tree still holds, would keep that copy alive.
+    root = parse("let a = 1; b = let c = a in c in b")
+    z = root_zipper(root).child_at(1).child_at(1).child_at(2).trans_m(lambda _: Const(2))
+    use = z.parent().child_at(3).child_at(2).child_at(2)
+    assert use.focus == Var("c")
+    gc.disable()
+    try:
+        entries = env(use)
+        assert [n for n, _ in entries] == ["c", "b", "a"]
+        rebuilt = weakref.ref(entries[2][1].parent().focus)
+        assert isinstance(rebuilt(), Let) and rebuilt() is not root.let
+        del entries
+        assert rebuilt() is None
+    finally:
+        gc.enable()
+
+
 def test_a_block_shared_at_two_levels_gets_its_own_sites():
     # One Let object at levels 2 and 3: a table kept from the first place must
     # not be handed out at the second, where its duplicate is on another level.
@@ -398,9 +419,10 @@ def test_scope_attributes_move_up_a_constant_number_of_times(monkeypatch):
     assert calls["up"] <= 5 * n
 
 
-def test_a_block_table_is_reused_through_an_equal_deep_path():
+def test_a_block_reached_through_an_equal_deep_path_gets_its_own_sites():
     # Paths are linked cells, so comparing two equal ones must walk the cells:
-    # tuple equality would recurse once per frame.
+    # tuple equality would recurse once per frame.  A block's scope record is
+    # reused only for the path it was built on, so an equal one builds its own.
     n = 5000
     spine = NestedLet("w", parse("let c = 1 in c").let, EmptyList())
     for i in reversed(range(n)):
@@ -422,7 +444,71 @@ def test_a_block_table_is_reused_through_an_equal_deep_path():
     finally:
         sys.setrecursionlimit(limit)
     assert [name for name, _ in after] == ["c", "w", *(f"x{i}" for i in reversed(range(n)))]
-    assert after[0][1] is before[0][1]
+    assert after[0][1] is not before[0][1]
+
+
+def test_a_block_shared_by_two_trees_is_told_apart_by_its_path():
+    # The sibling chains are equal but distinct: comparing the two paths to the
+    # shared block by value would recurse down 5,000 Neg nodes.
+    shared = parse("let c = 1 in c").let
+
+    def names_at_shared_body():
+        chain = Const(0)
+        for _ in range(5000):
+            chain = Neg(chain)
+        root = Root(Let(NestedLet("v", shared, Assign("w", chain, EmptyList())), Var("v")))
+        body = root_zipper(root).child_at(1).child_at(1).child_at(2).child_at(2)
+        return [name for name, _ in env(body)]
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        first, second = names_at_shared_body(), names_at_shared_body()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert first == second == ["c", "w", "v"]
+
+
+THREE_DEEP = """let a = 1
+  b = let c = a + 2
+        d = let a = c - 1
+              e = c - a
+              f = e + a
+            in f - e
+      in d + c + a
+in b - a"""
+
+
+def test_scope_attributes_never_compare_zippers(monkeypatch):
+    # Scope records are keyed by path identity, so no analysis needs Zipper.__eq__.
+    def run():
+        z = root_zipper(parse(THREE_DEEP))
+        return errors_strategic(z), errors_ag(z), from_zipper(optimize_program(z))
+
+    expected = run()
+
+    def refuse(self, other):
+        raise AssertionError("zippers compared by value")
+
+    monkeypatch.setattr(Zipper, "__eq__", refuse)
+    got = run()
+    monkeypatch.undo()
+    assert got == expected
+
+
+def test_errors_strategic_evaluates_env_once_per_use(monkeypatch):
+    # A nested block reads its enclosing block's record instead of asking env again.
+    root = parse(THREE_DEEP)
+    calls = Counter()
+    original = letlang.env
+
+    def counted(z):
+        calls["env"] += 1
+        return original(z)
+
+    monkeypatch.setattr(letlang, "env", counted)
+    assert errors_strategic(root_zipper(root)) == []
+    assert calls["env"] == sum(isinstance(v, Var) for v in preorder_values(root, LANG)) == 13
 
 
 # -- error analyses ----------------------------------------------------------------

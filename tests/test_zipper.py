@@ -30,7 +30,7 @@ from zipstrat.letlang import (
     Root,
     Var,
 )
-from zipstrat import zipper
+from zipstrat import smells, zipper
 from zipstrat.zipper import (
     ChildIndexError,
     ConstructorTag,
@@ -178,6 +178,8 @@ def test_siblings():
     assert z.sib_right(1).sib_left(1) == z
     with pytest.raises(NavigationError):
         z.sib_right(2)
+    with pytest.raises(NavigationError):
+        z.sib_left(-3)
 
 
 def test_reflection_roundtrip_every_node():
@@ -439,6 +441,11 @@ def test_import_rejects_malformed():
     ):
         with pytest.raises(RebuildError):
             import_ast(data, LANG)
+    # A constructor's own check: the smell language has no "+" operator.
+    plus = export_ast(smells.Infix("++", smells.IntLit(1), smells.IntLit(2)), smells.LANG)
+    plus["children"][0]["value"] = "+"
+    with pytest.raises(RebuildError, match="unknown operator"):
+        import_json(json.dumps(plus), smells.LANG)
 
 
 # -- law properties -------------------------------------------------------------
