@@ -3,7 +3,6 @@
 from .zipper import (
     ChildIndexError,
     ConstructorTag,
-    Context,
     Language,
     NavigationError,
     RebuildError,
@@ -23,7 +22,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ChildIndexError",
     "ConstructorTag",
-    "Context",
     "Language",
     "NavigationError",
     "RebuildError",

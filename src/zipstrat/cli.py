@@ -10,8 +10,9 @@ Subcommands::
 
 Input, from a file or standard input, must be UTF-8.  Exit codes: 0 success,
 1 syntax error, unreadable input or output that cannot be written (a closed
-pipe), 2 scope errors, 3 rewrite budget exhausted, 4 input nested too deeply,
-5 usage error (a bad option or argument).
+pipe, or text the output encoding cannot represent), 2 scope errors, 3 rewrite
+budget exhausted, 4 input nested too deeply, 5 usage error (a bad option or
+argument).
 Diagnostics go to standard error, one line each.
 """
 
@@ -182,7 +183,7 @@ def main(argv: list[str] | None = None) -> int:
     except FuelExhaustedError as exc:
         print(f"rewrite budget exhausted: {exc}", file=sys.stderr)
         return EXIT_FUEL
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_SYNTAX
     except RecursionError:

@@ -277,10 +277,11 @@ def _pretty_exp(e: Exp, prec: int) -> str:
 # entries first, how many of them it declares, and its level.  env copies the
 # list, dcli slices it and lev reads the level.  The record is memoized on the
 # Let node (outside its dataclass fields, so equality, hashing and the
-# reflected arity are untouched) with the path it was built on, and reused only
-# for that very path, which fixes every site in it.  A Let that the walk up
-# rebuilt after a rewrite gets no record, and neither does a block inside one:
-# the record's sites would keep the garbage copy alive in a reference cycle.
+# reflected arity are untouched) with the zipper above the block that it was
+# built on, and reused only for a block made from that very zipper, which fixes
+# every site in it.  A Let that the walk up rebuilt after a rewrite gets no
+# record, and neither does a block inside one: the record's sites would keep
+# the garbage copy alive in a reference cycle.
 
 Env = list[tuple[Name, Zipper]]
 
@@ -309,8 +310,8 @@ def _scope(block: Zipper) -> tuple[Env, int, int]:
     Callers copy or slice the list; the memoized one is never handed out.
     """
     node = block.focus
-    memo = node.__dict__.get("_scope", (None,))
-    if memo[0] is block.path:
+    memo = node.__dict__.get("_scope")
+    if memo is not None and memo[0] is block.above:
         return memo[1]
     visible = []
     site = block.child_at(1)
@@ -320,17 +321,16 @@ def _scope(block: Zipper) -> tuple[Env, int, int]:
     visible.reverse()
     own, level = len(visible), 1
     outer = block.parent()
-    ctx = block.path[0]
-    keep = ctx.kids[ctx.index] is node
+    keep = block.siblings[block.index] is node
     if not isinstance(outer.focus, Root):
         outer = _enclosing(outer, Let)
         above, _, level = _scope(outer)
         visible += above
         level += 1
-        keep = keep and outer.focus.__dict__.get("_scope", (None,))[0] is outer.path
+        keep = keep and outer.focus.__dict__.get("_scope", (None,))[0] is outer.above
     scope = visible, own, level
     if keep:
-        object.__setattr__(node, "_scope", (block.path, scope))
+        object.__setattr__(node, "_scope", (block.above, scope))
     return scope
 
 
@@ -352,10 +352,10 @@ def dcli(z: Zipper) -> Env:
         raise ScopeDomainError(f"dcli undefined under {type(z.focus).__name__}")
     block = _enclosing(z, Let)
     # The spine nodes above the focus: the depth from the block down to z.
-    above, path = 0, z.path
-    while path is not block.path:
+    above = 0
+    while z.above is not block.above:
         above += 1
-        path = path[1]
+        z = z.above
     visible, own, _ = _scope(block)
     return visible[own - above :]
 

@@ -7,13 +7,15 @@ per-type boilerplate.  Primitive payloads (``str``, ``int``, ``bool``) are
 zero-arity leaf nodes: child indices count every constructor argument, and
 navigation can reach the name inside a binding just like any subtree.
 
-A zipper's path is a persistent linked list of context frames, as in
-Huet's "The Zipper" (JFP 1997): every move makes one cell and shares the
-path above it, so a move costs O(1) at any depth.  A replaced focus is
-plugged back into its parent in one place, :func:`_write_back`.
+A zipper is its focus, the focus's siblings and the zipper one level up that
+it was made from, which is Huet's path node ``Node(left, up, right)`` in
+"The Zipper" (JFP 1997): every move makes one zipper and shares everything
+above it, so a move costs O(1) at any depth, and moving back up hands back
+the zipper above as it is.  A replaced focus is plugged back into its parent
+in one place, :func:`_write_back`.
 
-All values here are immutable (contexts and zippers are frozen slotted
-dataclasses); every "edit" produces a fresh value, so sharing across threads is safe.
+All values here are immutable (zippers are frozen slotted dataclasses);
+every "edit" produces a fresh value, so sharing across threads is safe.
 """
 
 from __future__ import annotations
@@ -111,7 +113,10 @@ class Language:
 
     @staticmethod
     def _field_specs(cls: type) -> tuple[_FieldSpec, ...]:
-        hints = typing.get_type_hints(cls)
+        try:
+            hints = typing.get_type_hints(cls)
+        except (NameError, TypeError) as exc:
+            raise RegistrationError(f"{cls.__name__}: unresolvable annotation: {exc}") from exc
         specs = []
         for f in dataclasses.fields(cls):
             ann = hints[f.name]
@@ -193,97 +198,77 @@ class Language:
             )
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class Context:
-    """One step of the path: the parent node, its children and the focus's index.
-
-    A move that replaced nothing reuses ``parent`` and ``kids`` as they are.  Once the
-    focus is replaced, the slot at ``index`` is stale: a move off the frame rebuilds
-    the parent with the current focus there (:func:`_write_back`), and equality ignores
-    that slot.  The hash reads only the parent's type and the index, never a subtree.
-    """
-
-    parent: Any
-    kids: tuple[Any, ...]
-    index: int
-
-    def _key(self) -> tuple[Any, ...]:
-        return (type(self.parent), self.index, self.kids[: self.index], self.kids[self.index + 1 :])
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Context) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash((type(self.parent), self.index))
-
-    def __repr__(self) -> str:
-        return f"Context(parent={type(self.parent).__name__}, index={self.index})"
-
-
-def _write_back(focus: Any, ctx: Context, lang: Language) -> tuple[Any, tuple[Any, ...]]:
-    """``ctx.parent`` rebuilt with a replaced ``focus`` at its index, and the kids it was given."""
-    kids = ctx.kids[: ctx.index] + (focus,) + ctx.kids[ctx.index + 1 :]
-    return lang.rebuild(lang.tag(ctx.parent), kids), kids
-
-
-def _same_path(a: tuple, b: tuple) -> bool:
-    """Equal paths, compared one cell at a time: nested tuple ``==`` would recurse."""
-    while a is not b:
-        if not (a and b):
-            return False
-        (fa, a), (fb, b) = a, b
-        if fa is not fb and fa != fb:
-            return False
-    return True
+def _write_back(focus: Any, z: Zipper) -> tuple[Any, tuple[Any, ...]]:
+    """``z.above.focus`` rebuilt with ``focus`` at ``z.index``, and the kids it was given."""
+    kids = z.siblings[: z.index] + (focus,) + z.siblings[z.index + 1 :]
+    return z.lang.rebuild(z.lang.tag(z.above.focus), kids), kids
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Zipper:
-    """A focused subtree plus the path of context frames back to the root.
+    """A focused subtree, its siblings and the zipper one level up that it was made from.
 
     Optional moves (:meth:`down_left`, :meth:`down_right`, :meth:`left`,
     :meth:`right`, :meth:`up`) return ``None`` when impossible; the indexed
     accessors (:meth:`child_at`, :meth:`parent`, :meth:`sib_left`,
     :meth:`sib_right`) raise instead, making misuse loud.
 
-    The path is a linked list: ``()`` at the root, else a cell ``(frame, rest)``
-    of the frame nearest the focus and the path above it.  Every move makes one
-    cell and shares ``rest`` as it is, so it costs O(1) at any depth.
+    ``above`` is ``None`` at the root; below it, ``siblings`` are the children of
+    ``above.focus``, shared by every sibling's zipper.  Once the focus is no longer
+    ``siblings[index]`` (it was replaced), a move off this level rebuilds the parent
+    with it there (:func:`_write_back`), and equality ignores that stale slot.
 
-    Equality leaves ``lang`` out; the hash reads only the focus's type and :attr:`position`.
+    Equality leaves ``lang`` out and compares, at each level above, the parent's
+    type, the index and the siblings beside the focus; the hash reads only the
+    focus's type and :attr:`position`, never a subtree.
     """
 
     focus: Any
-    path: tuple
     lang: Language
+    above: Zipper | None = None
+    siblings: tuple[Any, ...] = ()
+    index: int = 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Zipper):
             return NotImplemented
         a, b = self.focus, other.focus
-        return (a is b or type(a) is type(b) and a == b) and _same_path(self.path, other.path)
+        if not (a is b or type(a) is type(b) and a == b):
+            return False
+        # One level at a time: comparing the ``above`` zippers would recurse.
+        x, y = self, other
+        while x is not y:
+            if x.above is None or y.above is None:
+                return x.above is y.above
+            i, kx, ky = x.index, x.siblings, y.siblings
+            if type(x.above.focus) is not type(y.above.focus) or i != y.index:
+                return False
+            if kx is not ky and (kx[:i] != ky[:i] or kx[i + 1 :] != ky[i + 1 :]):
+                return False
+            x, y = x.above, y.above
+        return True
 
     def __hash__(self) -> int:
-        # Equal zippers have foci of one class and equal paths, so equal positions.
+        # Equal zippers have foci of one class and equal indices at every level.
         return hash((type(self.focus), self.position))
 
     def __repr__(self) -> str:
         return f"Zipper(focus={self.focus!r}, position={self.position!r})"
 
+    def _replace(self, focus: Any) -> Zipper:
+        return Zipper(focus, self.lang, self.above, self.siblings, self.index)
+
     def _down(self, kids: list[Any], index: int) -> Zipper:
-        return Zipper(kids[index], (Context(self.focus, tuple(kids), index), self.path), self.lang)
+        return Zipper(kids[index], self.lang, self, tuple(kids), index)
 
     def _sibling(self, step: int) -> Zipper | None:
-        if not self.path:
+        above, kids, index = self.above, self.siblings, self.index + step
+        if above is None or not 0 <= index < len(kids):
             return None
-        ctx, rest = self.path
-        index = ctx.index + step
-        if not 0 <= index < len(ctx.kids):
-            return None
-        parent, kids = ctx.parent, ctx.kids
-        if self.focus is not kids[ctx.index]:
-            parent, kids = _write_back(self.focus, ctx, self.lang)
-        return Zipper(kids[index], (Context(parent, kids, index), rest), self.lang)
+        if self.focus is not kids[self.index]:
+            parent, kids = _write_back(self.focus, self)
+            above = above._replace(parent)
+        return Zipper(kids[index], self.lang, above, kids, index)
 
     def _sib(self, count: int, side: str) -> Zipper:
         if count < 0:
@@ -314,34 +299,32 @@ class Zipper:
         return self._sibling(1)
 
     def up(self) -> Zipper | None:
-        if not self.path:
-            return None
-        ctx, rest = self.path
-        parent = ctx.parent
-        if self.focus is not ctx.kids[ctx.index]:
-            parent = _write_back(self.focus, ctx, self.lang)[0]
-        return Zipper(parent, rest, self.lang)
+        """The zipper this one was made from, or its parent rebuilt when the focus was replaced."""
+        above = self.above
+        if above is None or self.focus is self.siblings[self.index]:
+            return above
+        return above._replace(_write_back(self.focus, self)[0])
 
     def up_to(self, types: type | tuple[type, ...]) -> Zipper | None:
         """The nearest ancestor-or-self whose focus is an instance of ``types``.
 
-        ``None`` when there is none up to the root.  Reads the frames' parent
-        nodes and makes one zipper, at the end.  Above a replaced focus every
-        frame is stale; each is rebuilt as it is read, without a zipper per
-        level, which rebuilds what a loop of :meth:`parent` calls would.
+        ``None`` when there is none up to the root; the ancestor zipper itself when
+        no focus on the way was replaced.  Above a replaced focus, each stale level
+        is rebuilt as it is read, as a loop of :meth:`parent` calls would, but only
+        one zipper is made, at the end.
         """
-        focus, path = self.focus, self.path
+        z, focus = self, self.focus
         while not isinstance(focus, types):
-            if not path:
+            above = z.above
+            if above is None:
                 return None
-            ctx, path = path
-            stale = focus is not ctx.kids[ctx.index]
-            focus = _write_back(focus, ctx, self.lang)[0] if stale else ctx.parent
-        return self if path is self.path else Zipper(focus, path, self.lang)
+            focus = above.focus if focus is z.siblings[z.index] else _write_back(focus, z)[0]
+            z = above
+        return z if focus is z.focus else z._replace(focus)
 
     @property
     def at_root(self) -> bool:
-        return not self.path
+        return self.above is None
 
     @property
     def position(self) -> tuple[int, ...]:
@@ -351,10 +334,10 @@ class Zipper:
         is what a type-preserving strategy must keep fixed.
         """
         indices = []
-        path = self.path
-        while path:
-            ctx, path = path
-            indices.append(ctx.index)
+        z = self
+        while z.above is not None:
+            indices.append(z.index)
+            z = z.above
         indices.reverse()
         return tuple(indices)
 
@@ -401,14 +384,14 @@ class Zipper:
             raise TypePreservationError(
                 f"transformation changed {before.__name__} into {after.__name__}"
             )
-        return Zipper(result, self.path, self.lang)
+        return self._replace(result)
 
 
 def to_zipper(root: Any, lang: Language) -> Zipper:
-    """Focus a zipper on ``root`` with an empty path."""
+    """Focus a zipper on ``root``, with nothing above it."""
     if not lang.is_registered(root):
         raise RegistrationError(f"value of unregistered type {type(root).__name__}: {root!r}")
-    return Zipper(root, (), lang)
+    return Zipper(root, lang)
 
 
 def from_zipper(z: Zipper) -> Any:

@@ -219,9 +219,9 @@ def test_invalid_utf8_reports_error(capsys, tmp_path):
     assert len(err.strip().splitlines()) == 1
 
 
-def run_process(argv, stdin: bytes) -> subprocess.CompletedProcess:
+def run_process(argv, stdin: bytes, **env_vars: str) -> subprocess.CompletedProcess:
     # Under the C locale, Python's own stdin escapes undecodable bytes.
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "LC_ALL": "C"}
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "LC_ALL": "C", **env_vars}
     return subprocess.run([sys.executable, "-m", "zipstrat.cli", *argv], input=stdin,
                           capture_output=True, env=env, timeout=300)
 
@@ -235,6 +235,15 @@ def test_invalid_utf8_on_stdin_reports_error(capsys, tmp_path):
     assert done.stdout == b""
     assert done.stderr.decode() == from_file
     assert "can't decode" in from_file
+
+
+def test_output_the_encoding_cannot_represent_exits_1_without_traceback():
+    done = run_process(["let", "names"], stdin="let \u00e9 = 1 in \u00e9".encode(),
+                       PYTHONIOENCODING="ascii")
+    err = done.stderr.decode()
+    assert done.returncode == 1, err
+    assert len(err.splitlines()) == 1 and "can't encode" in err
+    assert "Traceback" not in err
 
 
 DEEP_INPUTS = {

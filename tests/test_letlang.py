@@ -420,9 +420,10 @@ def test_scope_attributes_move_up_a_constant_number_of_times(monkeypatch):
 
 
 def test_a_block_reached_through_an_equal_deep_path_gets_its_own_sites():
-    # Paths are linked cells, so comparing two equal ones must walk the cells:
-    # tuple equality would recurse once per frame.  A block's scope record is
-    # reused only for the path it was built on, so an equal one builds its own.
+    # Zippers are linked through ``above``, so comparing two equal ones must walk
+    # the links: comparing the ``above`` zippers would recurse once per level.  A
+    # block's scope record is reused only for the zipper above it that it was
+    # built on, so an equal one builds its own.
     n = 5000
     spine = NestedLet("w", parse("let c = 1 in c").let, EmptyList())
     for i in reversed(range(n)):
@@ -439,7 +440,7 @@ def test_a_block_reached_through_an_equal_deep_path_gets_its_own_sites():
     sys.setrecursionlimit(1000)
     try:
         first, second = nested_block(), nested_block()
-        assert first.path is not second.path and first == second
+        assert first.above is not second.above and first == second
         before, after = env(first), env(second)
     finally:
         sys.setrecursionlimit(limit)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import random
 import sys
 from pathlib import Path
@@ -346,7 +347,7 @@ def test_traversals_match_position_oracles(tree, seed, density, fresh):
                     return None
                 successes.append(z.position)
                 # A fresh zipper on the same node makes the walk move back up through it.
-                return Zipper(z.focus, z.path, z.lang) if fresh else z
+                return dataclasses.replace(z) if fresh else z
 
             out = traversal(step)(z)
             assert successes == expected_successes, name

@@ -7,6 +7,7 @@ import json
 import sys
 import tracemalloc
 from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -54,13 +55,13 @@ B_PLUS_ZERO = Add(Var("b"), Const(0))
 def test_to_zipper_focuses_whole_tree():
     z = to_zipper(RUNNING, LANG)
     assert z.focus == RUNNING
-    assert z.path == ()
+    assert z.above is None
     assert z.at_root
 
 
 def test_to_zipper_single_node():
     z = to_zipper(Const(1), LANG)
-    assert z.path == ()
+    assert z.above is None
     assert from_zipper(z) == Const(1)
 
 
@@ -83,6 +84,23 @@ def test_leaves_are_navigable():
 
 def test_up_at_root_is_none():
     assert to_zipper(RUNNING, LANG).up() is None
+
+
+def test_up_hands_back_the_zipper_it_came_from():
+    # Nothing was replaced, so the parent's zipper already exists: no new one.
+    z = to_zipper(RUNNING, LANG).down_left()
+    assert z.down_left().up() is z
+    assert z.down_left().right().up() is z
+    assert z.up().up() is None
+
+
+def test_up_to_hands_back_the_ancestor_it_came_from():
+    block = to_zipper(RUNNING_ROOT, LANG).child_at(1)
+    use = block.child_at(1).child_at(2).down_left()
+    assert use.focus == Var("b") and use.up_to(Let) is block
+    inner = block.down_left().child_at(3).child_at(3).child_at(2)
+    assert inner.child_at(2).down_left().right().up_to(Let) is inner
+    assert inner.up().up_to(Let) is block and inner.up_to(Let) is inner
 
 
 def test_navigation_preserves_root():
@@ -219,6 +237,16 @@ def test_constructor_tags():
             read(3.5)
 
 
+def test_register_reports_an_unresolvable_annotation():
+    # Annotations are strings here; one that names nothing cannot be resolved.
+    @dataclass(frozen=True)
+    class Dangling:
+        child: Undefined  # noqa: F821
+
+    with pytest.raises(RegistrationError, match="Dangling"):
+        Language("tiny").register(Dangling)
+
+
 def test_register_rejects_duplicates_and_nondataclasses():
     lang = Language("tiny")
     lang.register(Root)
@@ -254,7 +282,7 @@ def test_deep_paths_need_no_recursion():
     sys.setrecursionlimit(1000)
     try:
         a, b = to_bottom(root), to_bottom(root)
-        assert a.path is not b.path
+        assert a.above is not b.above
         assert a.position == b.position == (0, 0, 1) + (0,) * depth
         assert a == b and hash(a) == hash(b)
         assert a != a.up() and a.up() == b.up()
@@ -264,8 +292,7 @@ def test_deep_paths_need_no_recursion():
         assert a.up_to(Root).at_root and a.up_to(Const) is a
         assert a.up_to(NestedLet) is None
         assert repr(a) == f"Zipper(focus=Const(value=1), position={a.position!r})"
-        assert repr(a.path[0]) == "Context(parent=Neg, index=0)"
-        # Above a replaced focus every frame is stale: up_to rebuilds them all.
+        # Above a replaced focus every level is stale: up_to rebuilds them all.
         c = a.trans_m(lambda _: Const(2))
         assert c != a
         block = c.up_to(Let)
@@ -284,7 +311,7 @@ def flat_block(size: int) -> Root:
 
 
 def test_hash_reads_no_subtree():
-    # The frames beside the first declaration hold the whole 5,000-deep spine;
+    # The siblings beside the first declaration hold the whole 5,000-deep spine;
     # hashing them would recurse through it.
     root = flat_block(5_000)
     limit = sys.getrecursionlimit()
@@ -292,8 +319,8 @@ def test_hash_reads_no_subtree():
     try:
         a = to_zipper(root, LANG).down_left().down_left().child_at(2)
         b = to_zipper(root, LANG).child_at(1).child_at(1).down_left().right()
-        assert a.path is not b.path and a.focus == Const(0)
-        assert hash(a) == hash(b) and hash(a.path[0]) == hash(b.path[0])
+        assert a.above is not b.above and a.focus == Const(0)
+        assert hash(a) == hash(b)
         # The focus one level up is the first declaration, the whole spine.
         assert hash(a.up()) == hash(b.up())
         table = {a: "first"}
@@ -309,16 +336,21 @@ def test_hash_reads_no_subtree():
 
 def test_zippers_and_frames_are_immutable():
     z = to_zipper(RUNNING, LANG).down_left()
-    ctx = z.path[0]
     with pytest.raises(AttributeError):
         z.focus = Const(1)
     with pytest.raises(AttributeError):
-        del z.path
+        z.above = None
     with pytest.raises(AttributeError):
-        ctx.parent = RUNNING
+        del z.above
     with pytest.raises(AttributeError):
-        ctx.index = 1
-    assert z.focus is RUNNING.decls and ctx.parent is RUNNING
+        z.siblings = ()
+    with pytest.raises(AttributeError):
+        del z.siblings
+    with pytest.raises(AttributeError):
+        z.index = 1
+    with pytest.raises(AttributeError):
+        del z.index
+    assert z.focus is RUNNING.decls and z.above.focus is RUNNING
 
 
 def test_a_move_at_depth_copies_no_path():
@@ -363,16 +395,16 @@ def calls(monkeypatch):
 
 
 def test_a_sibling_move_after_trans_m_makes_one_frame(calls):
-    # The frame of the sibling is made from the rebuilt parent and the children
-    # it was built from: no zipper one level up, no second read of the children.
+    # The sibling's zipper above is made from the rebuilt parent and the children
+    # it was built from: no call of up(), no second read of the children.
     z = to_zipper(RUNNING, LANG).child_at(1).child_at(2).trans_m(lambda _: Const(7))
     for side in ("right", "left"):
         calls.clear()
         moved = getattr(z, side)()
         assert calls == {"rebuild": 1}
-        ctx = moved.path[0]
-        assert ctx.kids[1] is z.focus and ctx.parent.exp is z.focus
-        assert moved.focus is ctx.kids[ctx.index] and moved.path[1] is z.path[1]
+        assert moved.siblings[1] is z.focus and moved.above.focus.exp is z.focus
+        assert moved.focus is moved.siblings[moved.index]
+        assert moved.above.above is z.above.above
 
 
 def test_up_to_above_a_replaced_focus_makes_no_zipper_per_level(calls):
