@@ -282,6 +282,12 @@ def _pretty_exp(e: Exp, prec: int) -> str:
 # every site in it.  A Let that the walk up rebuilt after a rewrite gets no
 # record, and neither does a block inside one: the record's sites would keep
 # the garbage copy alive in a reference cycle.
+#
+# The inlining rule needs only the first entry for one name, and reads it off
+# the zipper instead (:func:`_binder`): beside the path from the focus up,
+# every level's siblings are the current tree, so it builds no record and
+# rebuilds nothing stale after a rewrite, except at a use inside its own
+# definition.
 
 Env = list[tuple[Name, Zipper]]
 
@@ -507,17 +513,56 @@ def _printable(n: int) -> bool:
 def exp_c(e: Exp, z: Zipper) -> Exp | None:
     """The context-dependent rule: replace a variable by its defining expression.
 
-    Looks the name up in the environment at the focus; only names bound by
-    a plain assignment are inlined (nested-let bindings have no expression
-    to copy), and the copied expression reflects any rewrites already
-    performed on the current tree.
+    Takes the declaration that ``env`` at the focus lists first for the name;
+    only names bound by a plain assignment are inlined (nested-let bindings
+    have no expression to copy), and the copied expression is the definition
+    as it stands in the current tree, rewrites already performed included.
+    The declaration is read off the zipper (:func:`_binder`), so a use
+    rebuilds nothing unless it sits in its own definition.
     """
     if not isinstance(e, Var):
         return None
-    for n, site in env(z):
-        if n == e.name:
-            return lexeme_assign(site)
+    hit = _binder(z, e.name)
+    return hit.exp if isinstance(hit, Assign) else None
+
+
+def _binder(z: Zipper, name: Name) -> Assign | NestedLet | None:
+    """The declaration of ``name`` that ``env(z)`` finds first, without building a zipper.
+
+    Walks the ``above`` links from the focus.  At every level the parent's
+    children beside the path are the current tree (``siblings`` are the
+    children of ``above.focus``; only the slot on the path can be stale), so
+    a spine node reached from its right-hand side is, with its ``rest``, the
+    block's declarations from there on, a ``Let`` reached from its body sees
+    its whole spine, and a spine node reached from its ``rest`` is an earlier
+    declaration.  The first hit up the links is ``env``'s: innermost block
+    first, latest declaration first.  A use inside its own definition reads
+    that definition through ``up_to``, the one walk here that rebuilds.
+    """
+    level = z
+    while (above := level.above) is not None:
+        node = above.focus
+        if level.index == 1 and isinstance(node, (Let, Assign, NestedLet)):
+            hit = _last_decl(node.decls if isinstance(node, Let) else node, name)
+            if hit is node and isinstance(node, Assign):
+                # Its right-hand side is on the path, where ``node`` may be stale.
+                return z.up_to(Assign).focus
+            if hit is not None:
+                return hit
+        elif level.index == 2 and node.name == name:  # only spine nodes have a third child
+            return node
+        level = above
     return None
+
+
+def _last_decl(spine: List, name: Name) -> Assign | NestedLet | None:
+    """The last declaration of ``name`` along a declaration spine."""
+    hit = None
+    while isinstance(spine, (Assign, NestedLet)):
+        if spine.name == name:
+            hit = spine
+        spine = spine.rest
+    return hit
 
 
 def arith_step() -> TP:
@@ -543,8 +588,8 @@ def optimize_exprs(z: Zipper, fuel: int | None = None) -> Zipper | None:
 def optimize_program(z: Zipper, fuel: int | None = None) -> Zipper | None:
     """Innermost normalization with all seven rules.
 
-    Requires a zipper rooted at :class:`Root`, since the inlining rule
-    evaluates the environment attribute.
+    Expects a zipper rooted at :class:`Root`: the inlining rule looks names
+    up in the blocks above each use, as the environment attribute does.
     """
     return apply_tp(innermost(program_step(), fuel), z)
 

@@ -183,7 +183,9 @@ def scope_errors_walk(root: L.Root) -> list[str]:
 #
 # The paper's equations for ``dcli``/``dclo``/``env``, read literally: each
 # call recomputes the block by recursion along the declaration spine.  They
-# are the reference for the library's table-based attributes.
+# are the reference for the library's table-based attributes.  The inlining
+# rule as the paper states it, which evaluates ``env`` at the use, is the
+# reference for ``exp_c``, which reads its binder off the zipper.
 
 
 def dcli_spec(z: Zipper) -> list:
@@ -219,6 +221,17 @@ def env_spec(z: Zipper) -> list:
     if isinstance(z.focus, (L.Root, L.Let)):
         return dclo_spec(z)
     return env_spec(z.parent())
+
+
+def exp_c_spec(e, z: Zipper):
+    """The inlining rule read through ``env``: the expression of the first entry
+    for the name in the environment at the focus, when a plain assignment binds it."""
+    if not isinstance(e, L.Var):
+        return None
+    for n, site in L.env(z):
+        if n == e.name:
+            return L.lexeme_assign(site)
+    return None
 
 
 # -- positions and point rewrites ----------------------------------------------

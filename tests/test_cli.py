@@ -263,6 +263,15 @@ def test_deep_input_exits_4_without_traceback(argv, source):
     assert "Traceback" not in err
 
 
+def test_let_opt_on_a_self_reference_exits_4_in_one_line():
+    # Each inline copies the definition as it has grown, so the tree deepens
+    # until the stack gives out, before the fuel does.
+    done = run_process(["let", "opt", "--fuel", "100"], stdin=b"let a = a + 1 in a\n")
+    assert done.returncode == 4
+    assert done.stdout == b""
+    assert done.stderr.decode() == "input nested too deeply\n"
+
+
 BAD_LITERALS = {
     "let-pretty-superscript": (["let", "pretty"], "let a = \u00b2 in a"),
     "smell-fix-superscript": (["smell", "fix"], "\u00b2"),

@@ -9,13 +9,15 @@ import weakref
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from generators import let_programs, random_program, random_wellscoped_program
 from oracles import (
     dcli_spec,
     dclo_spec,
     env_spec,
+    exp_c_spec,
     let_names_walk,
     normalize_anywhere,
     positions,
@@ -75,8 +77,16 @@ from zipstrat.letlang import (
     program_step,
     root_zipper,
 )
-from zipstrat.strategies import adhoc_tpz, fail_tp, once_bu_tp
-from zipstrat.zipper import Zipper, from_zipper, to_zipper
+from zipstrat.strategies import (
+    SCHEMES,
+    FuelExhaustedError,
+    adhoc_tp,
+    adhoc_tpz,
+    fail_tp,
+    once_bu_tp,
+    scheme,
+)
+from zipstrat.zipper import Language, Zipper, from_zipper, to_zipper
 
 
 def body_zipper(root: Root):
@@ -661,6 +671,64 @@ def test_adhoc_tpz_with_exp_c():
     use = body_zipper(root)
     out = adhoc_tpz(fail_tp, Exp, exp_c)(use)
     assert out.focus == Const(1)
+
+
+def test_exp_c_reads_a_self_reference_as_rewritten():
+    # The use sits in its own definition, whose ``1 + 2`` was folded on the way
+    # here: the copy is the right-hand side as it stands now.
+    rhs = root_zipper(parse("let a = (1 + 2) + a in 1")).child_at(1).child_at(1).child_at(2)
+    use = rhs.child_at(1).trans_m(expr).right()
+    assert use.focus == Var("a")
+    assert exp_c(use.focus, use) == exp_c_spec(use.focus, use) == Add(Const(3), Var("a"))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from([random_program, random_wellscoped_program]),
+       st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_exp_c_agrees_with_the_env_rule_at_every_call(make, seed, depth):
+    # Shadowing, duplicates, nested-let binders and unbound names, under every
+    # scheme, on trees that earlier rewrites left stale above the use.
+    root = make(random.Random(seed), depth)
+
+    def checked(e, z):
+        got = exp_c(e, z)
+        assert got == exp_c_spec(e, z)
+        return got
+
+    step = adhoc_tp(adhoc_tpz(fail_tp, Exp, checked), Exp, expr)
+    # Capturing inlines can deepen the tree without end; fuel and a fixed
+    # stack bound keep those runs short.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for name in SCHEMES:
+            try:
+                scheme(name, step, 40)(root_zipper(root))
+            except (FuelExhaustedError, RecursionError):
+                pass
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_inlining_a_flat_block_builds_no_scope_and_rebuilds_linearly(monkeypatch):
+    # Each use reads its binder off the zipper: no scope record is built, and
+    # the spine between the use and its block is not rebuilt per use.
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(letlang, "_scope", counting("scope", letlang._scope))
+    monkeypatch.setattr(Language, "rebuild", counting("rebuild", Language.rebuild))
+    for k in (100, 200, 400):
+        calls.clear()
+        out = from_zipper(optimize_program(root_zipper(flat_block(k))))
+        assert out.let.body == Const(k - 1)
+        assert calls["scope"] == 0
+        assert calls["rebuild"] <= 3 * k + 1
 
 
 # -- optimizers -----------------------------------------------------------------------
