@@ -8,24 +8,25 @@ Two strategy shapes cover rewriting and querying:
 * a type-unifying strategy (:class:`TU`) partially reduces a zipper to a
   value in a monoid, so traversals can merge per-node results.
 
-Construction combinators (``adhoc``/``mono``) lift ordinary functions on
-node types into strategies.  One kernel, ``_tp``, is the only code here that
-moves a zipper.  It walks the subtree under the focus in an order (``td``
+Construction combinators (``adhoc``/``mono``) lift ordinary functions on node
+types into strategies; a chain of them is one value, which tries only the
+rules of the focus's nominal type.  One kernel, ``_tp``, is the only code here
+that moves a zipper.  It walks the subtree under the focus in an order (``td``
 visits a node before its children, ``bu`` after; children go left to right)
-under a policy for what a success does: ``full`` carries on, ``stop``
-prunes (in ``td`` the node's descendants, in ``bu`` every node above it),
-``once`` ends the walk and ``again`` normalizes the new node's children and
-retries.  Each traversal is one kernel call; a TU traversal combines its
-successes in visit order, neighbour with neighbour in a balanced tree.
-``innermost`` is the ``bu`` walk under ``again``; ``outermost`` iterates a
-one-shot top-down search to a fixed point.  Both take an optional rewrite
-budget ("fuel"), so divergent rule sets fail loudly; :func:`scheme` builds
-the four whole-tree schemes of :data:`SCHEMES`.
+under a policy for what a success does: ``full`` carries on, ``stop`` prunes
+(in ``td`` the node's descendants, in ``bu`` every node above it), ``once``
+ends the walk and ``again`` normalizes the new node's children and retries.
+Each traversal is one kernel call; a TU traversal combines its successes in
+visit order, neighbour with neighbour in a balanced tree.  ``innermost`` is
+the ``bu`` walk under ``again``; ``outermost`` iterates a one-shot top-down
+search to a fixed point.  Both take an optional rewrite budget ("fuel"), so
+divergent rule sets fail loudly; :func:`scheme` builds the four whole-tree
+schemes of :data:`SCHEMES`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, TypeVar
 
 from .zipper import Zipper
@@ -123,30 +124,51 @@ def _spend(steps: int, fuel: int | None) -> None:
 
 # -- strategy construction ---------------------------------------------------
 #
-# The typed function is tried first; the base strategy handles both type
-# mismatch and the typed function declining.  The fallthrough on failure is
-# what lets a chained step try rewrite rules first and fall back to a
-# context-dependent rule on the same node type.
+# An ``adhoc`` chain is one value: its rules, last added first, over a base.
+# A visit tries the rules of the focus's nominal type, found once per class and
+# language; the base handles the rest.  This fallthrough lets a chained step try
+# rewrite rules first and fall back to a context-dependent rule on one node type.
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class _Adhoc:
+    """An ``adhoc`` chain: ``(type, function, takes_zipper)`` rules over ``base``."""
+
+    rules: tuple[tuple[type, Callable, bool], ...]
+    base: Callable[[Zipper], Any]
+    tu: bool
+    _tables: dict = field(default_factory=dict, repr=False)
+
+    def __call__(self, z: Zipper) -> Any | None:
+        focus = z.focus
+        key = (z.lang, type(focus))
+        rules = self._tables.get(key)
+        if rules is None:
+            typ = z.lang.nominal(focus)
+            rules = self._tables[key] = tuple((f, zf) for t, f, zf in self.rules if t is typ)
+        for f, takes_zipper in rules:
+            r = f(focus, z) if takes_zipper else f(focus)
+            if r is not None:
+                return r if self.tu else z.trans_m(lambda _cur: r)
+        return self.base(z)
+
+
+def _adhoc(base: Callable, typ: type, f: Callable, takes_zipper: bool, tu: bool) -> _Adhoc:
+    """``base`` extended with the rule ``f`` on ``typ``, tried before its own rules."""
+    if isinstance(base, _Adhoc) and base.tu is tu:
+        return _Adhoc(((typ, f, takes_zipper), *base.rules), base.base, tu)
+    return _Adhoc(((typ, f, takes_zipper),), base, tu)
 
 
 def adhoc_tp(base: TP, typ: type, f: Callable[[T], T | None]) -> TP:
     """Extend ``base`` with ``f``, applied when the focus is a ``typ``."""
-    return adhoc_tpz(base, typ, lambda v, _z: f(v))
+    return _adhoc(base, typ, f, False, False)
 
 
 def adhoc_tpz(base: TP, typ: type, f: Callable[[T, Zipper], T | None]) -> TP:
     """Like :func:`adhoc_tp`, but ``f`` also receives the zipper at the focus,
     so it can evaluate attributes there."""
-
-    def run(z: Zipper) -> Zipper | None:
-        v = z.get_hole(typ)
-        if v is not None:
-            r = f(v, z)
-            if r is not None:
-                return z.trans_m(lambda _cur: r)
-        return base(z)
-
-    return run
+    return _adhoc(base, typ, f, True, False)
 
 
 def mono_tp(typ: type, f: Callable[[T], T | None]) -> TP:
@@ -158,19 +180,11 @@ def mono_tpz(typ: type, f: Callable[[T, Zipper], T | None]) -> TP:
 
 
 def adhoc_tu(base: TU, typ: type, f: Callable[[T], D | None]) -> TU:
-    return adhoc_tuz(base, typ, lambda v, _z: f(v))
+    return TU(_adhoc(base.run, typ, f, False, True), base.monoid)
 
 
 def adhoc_tuz(base: TU, typ: type, f: Callable[[T, Zipper], D | None]) -> TU:
-    def run(z: Zipper) -> Any | None:
-        v = z.get_hole(typ)
-        if v is not None:
-            r = f(v, z)
-            if r is not None:
-                return r
-        return base(z)
-
-    return TU(run, base.monoid)
+    return TU(_adhoc(base.run, typ, f, True, True), base.monoid)
 
 
 def mono_tu(typ: type, f: Callable[[T], D | None], monoid: Monoid = LIST_MONOID) -> TU:
@@ -210,10 +224,16 @@ def choice_tp(a: TP, b: TP) -> TP:
     return run
 
 
+def _monoid(a: TU, b: TU) -> Monoid:
+    """The monoid ``a`` and ``b`` share; one's ``combine`` cannot merge the other's results."""
+    if a.monoid != b.monoid:
+        raise ValueError("cannot compose TU strategies over different monoids")
+    return a.monoid
+
+
 def seq_tu(a: TU, b: TU) -> TU:
     """Evaluate both on the same zipper, appending successes in order."""
-
-    m = a.monoid
+    m = _monoid(a, b)
 
     def run(z: Zipper) -> Any | None:
         ra, rb = a(z), b(z)
@@ -229,7 +249,7 @@ def seq_tu(a: TU, b: TU) -> TU:
 
 
 def choice_tu(a: TU, b: TU) -> TU:
-    return TU(choice_tp(a, b), a.monoid)
+    return TU(choice_tp(a, b), _monoid(a, b))
 
 
 # -- traversal schemes ------------------------------------------------------------
@@ -302,7 +322,7 @@ def _tu(s: TU, order: str, policy: str) -> TU:
         found = []
 
         def visit(z: Zipper) -> Zipper | None:
-            r = s(z)
+            r = s.run(z)
             if r is None:
                 return None
             found.append(r)

@@ -1,12 +1,15 @@
 """Independent oracles: plain recursions used to cross-check the traversal
-and rewrite machinery.  Nothing here goes through strategies, and only the
-scope-rule equations go through zippers, since the paper states them there."""
+and rewrite machinery.  Nothing here runs a strategy combinator (the
+closure-based ``adhoc`` chains only build ``TU`` values), and only those
+chains and the scope-rule equations go through zippers, since the paper
+states them there."""
 
 from __future__ import annotations
 
 from zipstrat import letlang as L
 from zipstrat import smells as S
 from zipstrat.lexing import ParseError, TokenStream, tokenize
+from zipstrat.strategies import TU
 from zipstrat.zipper import Language, Zipper
 
 
@@ -232,6 +235,45 @@ def exp_c_spec(e, z: Zipper):
         if n == e.name:
             return L.lexeme_assign(site)
     return None
+
+
+# -- strategy construction -------------------------------------------------------
+#
+# ``adhoc`` as a stack of closures, one per rule, each testing the focus's
+# nominal type with ``get_hole`` before it tries its rule or falls through to
+# the layer below: the reference for the library's class-keyed chains.
+
+
+def adhoc_tp(base, typ, f):
+    return adhoc_tpz(base, typ, lambda v, _z: f(v))
+
+
+def adhoc_tpz(base, typ, f):
+    def run(z: Zipper):
+        v = z.get_hole(typ)
+        if v is not None:
+            r = f(v, z)
+            if r is not None:
+                return z.trans_m(lambda _cur: r)
+        return base(z)
+
+    return run
+
+
+def adhoc_tu(base, typ, f):
+    return adhoc_tuz(base, typ, lambda v, _z: f(v))
+
+
+def adhoc_tuz(base, typ, f):
+    def run(z: Zipper):
+        v = z.get_hole(typ)
+        if v is not None:
+            r = f(v, z)
+            if r is not None:
+                return r
+        return base(z)
+
+    return TU(run, base.monoid)
 
 
 # -- positions and point rewrites ----------------------------------------------

@@ -1,8 +1,10 @@
-"""Every script runs to completion with only the library on the import path."""
+"""Every script, and the README's library example, runs to completion with only
+the library on the import path."""
 
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,3 +32,15 @@ def test_demo_rejects_nonpositive_fuel(tmp_path):
     done = run_script(ROOT / "scripts" / "demo_let_pipeline.py", "--fuel", "0", cwd=tmp_path)
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
+
+
+def test_readme_library_example_prints_what_its_comment_says(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Library example"):]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    expected = re.search(r"^print\(.*#\s*(.+)$", code, re.M).group(1)
+    example = tmp_path / "example.py"
+    example.write_text(code, encoding="utf-8")
+    done = run_script(example, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [expected] == ["Leaf(value=6)"]

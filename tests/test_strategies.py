@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import ast
+import contextlib
 import dataclasses
 import random
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from generators import (
@@ -20,7 +22,9 @@ from generators import (
     random_exp,
     random_mexp,
     random_program,
+    random_wellscoped_program,
 )
+import oracles
 from oracles import (
     all_normal_forms,
     diff_positions,
@@ -28,12 +32,13 @@ from oracles import (
     positions,
     postorder_positions,
     postorder_values,
+    preorder_values,
     preorder_tags,
     redexes,
     typed_rule,
 )
-from programs import RUNNING, RUNNING_ARITH_NF, RUNNING_ROOT
-from zipstrat import smells, strategies
+from programs import ERRORS_ROOT, RUNNING, RUNNING_ARITH_NF, RUNNING_ROOT
+from zipstrat import letlang, smells, strategies
 from zipstrat.letlang import (
     LANG,
     Add,
@@ -43,6 +48,8 @@ from zipstrat.letlang import (
     List,
     Neg,
     Var,
+    errors_ag,
+    errors_strategic,
     expr,
     parse,
     program_step,
@@ -55,6 +62,7 @@ from zipstrat.strategies import (
     Monoid,
     TU,
     adhoc_tp,
+    adhoc_tpz,
     adhoc_tu,
     apply_tp,
     apply_tu,
@@ -87,7 +95,7 @@ from zipstrat.strategies import (
     stop_td_tu,
     try_tp,
 )
-from zipstrat.zipper import Language, Zipper, from_zipper, to_zipper
+from zipstrat.zipper import Language, TypePreservationError, Zipper, from_zipper, to_zipper
 
 B_PLUS_ZERO = Add(Var("b"), Const(0))
 
@@ -230,6 +238,134 @@ def test_mono_variants():
     assert apply_tu(mono_tu(List, select), z) is None
 
 
+def test_a_chain_tries_its_rules_last_added_first():
+    seen = []
+
+    def rule(name, result=None):
+        def f(e, *z):
+            seen.append(name)
+            return result
+        return f
+
+    step = adhoc_tp(adhoc_tpz(adhoc_tp(fail_tp, Exp, rule("first")), Exp, rule("second")),
+                    List, rule("list"))
+    step = adhoc_tp(step, Exp, rule("third"))
+    assert step(zipper_of(Var("x"))) is None
+    assert seen == ["third", "second", "first"]
+    seen.clear()
+    assert adhoc_tp(step, Exp, rule("fourth", Const(7)))(zipper_of(Var("x"))).focus == Const(7)
+    assert seen == ["fourth"]
+    seen.clear()
+    assert step(zipper_of(RUNNING.decls)) is None  # extending ``step`` left it as it was
+    assert seen == ["list"]
+
+
+def test_a_rule_that_changes_the_nominal_type_raises():
+    step = adhoc_tp(arith(), Exp, lambda e: EmptyList())
+    with pytest.raises(TypePreservationError):
+        step(zipper_of(Var("x")))
+    # A TU rule's result is a value, not a node.
+    query = adhoc_tu(fail_tu(), Exp, lambda e: EmptyList())
+    assert apply_tu(query, zipper_of(Var("x"))) == EmptyList()
+
+
+class First:
+    pass
+
+
+class Second:
+    pass
+
+
+@dataclasses.dataclass(frozen=True)
+class Shared(First, Second):
+    n: int
+
+
+def test_a_chain_dispatches_on_each_zippers_language():
+    # One class, two languages, two nominal types: the rules to try depend on the
+    # language too, so a table keyed by the class alone would pick the wrong ones.
+    one, two = Language("one"), Language("two")
+    one.register(First, Shared)
+    two.register(Second, Shared)
+    step = adhoc_tp(adhoc_tp(fail_tp, First, lambda s: Shared(1)), Second, lambda s: Shared(2))
+    names = adhoc_tu(adhoc_tu(fail_tu(), First, lambda s: ["one"]), Second, lambda s: ["two"])
+    for _ in range(2):
+        for lang, n, name in ((one, 1, "one"), (two, 2, "two")):
+            assert step(to_zipper(Shared(0), lang)).focus == Shared(n)
+            assert apply_tu(full_td_tu(names), to_zipper(Shared(0), lang)) == [name]
+
+
+def test_a_chain_asks_for_a_classs_nominal_type_once(monkeypatch):
+    calls = []
+    nominal = Language.nominal
+
+    def counting(self, value):
+        calls.append(type(value))
+        return nominal(self, value)
+
+    monkeypatch.setattr(Language, "nominal", counting)
+    step = adhoc_tp(adhoc_tp(fail_tp, Exp, expr), List, lambda n: None)
+    for _ in range(3):
+        assert step(zipper_of(Var("x"))) is None
+        assert step(zipper_of(Var("y"))) is None
+    assert calls == [Var]
+
+
+def smell_visits(monkeypatch, source):
+    """``smell_elim`` on ``source``: the visited classes, the visit and rewrite
+    counts, and the ``Language.nominal`` calls made."""
+    classes, counts = set(), {"visits": 0, "rewrites": 0, "nominal": 0}
+    nominal, step = Language.nominal, smells.smell_step
+
+    def counting_nominal(self, value):
+        counts["nominal"] += 1
+        return nominal(self, value)
+
+    def counting_step():
+        inner = step()
+
+        def visit(z):
+            classes.add(type(z.focus))
+            counts["visits"] += 1
+            r = inner(z)
+            counts["rewrites"] += r is not None
+            return r
+
+        return visit
+
+    monkeypatch.setattr(Language, "nominal", counting_nominal)
+    monkeypatch.setattr(smells, "smell_step", counting_step)
+    smells.smell_elim(smells.mexp_zipper(smells.parse_m(source)))
+    return classes, counts
+
+
+def test_smell_elim_asks_for_a_nominal_type_once_per_class(monkeypatch):
+    # Dispatch asks once per focus class; ``trans_m`` asks twice per rewrite (the
+    # result's type and the focus's).  One closure per rule asked at every visit.
+    source = ("[if (length xs == 0) then True else False, f ([1] ++ ys), "
+              "if p then False else True, null (f xs), b == True, [n, 2, 3] ++ ys]")
+    classes, counts = smell_visits(monkeypatch, source)
+    assert counts["visits"] >= 50
+    assert counts["rewrites"] > 0
+    assert counts["nominal"] <= len(classes) + 2 * counts["rewrites"]
+
+
+@pytest.mark.parametrize("root", [RUNNING_ROOT, ERRORS_ROOT], ids=["running", "errors"])
+def test_errors_strategic_asks_for_a_nominal_type_once_per_class(monkeypatch, root):
+    calls = []
+    nominal = Language.nominal
+
+    def counting(self, value):
+        calls.append(type(value))
+        return nominal(self, value)
+
+    expected = errors_ag(root_zipper(root))
+    monkeypatch.setattr(Language, "nominal", counting)
+    assert errors_strategic(root_zipper(root)) == expected
+    assert len(calls) <= len({type(v) for v in preorder_values(root, LANG)})
+
+
 # -- composition and choice ----------------------------------------------------
 
 
@@ -267,6 +403,14 @@ def test_choice_tu_first_success():
     z = zipper_of(Const(1))
     assert apply_tu(choice_tu(const_tu([1]), const_tu([2])), z) == [1]
     assert apply_tu(choice_tu(fail_tu(), const_tu([2])), z) == [2]
+
+
+def test_tu_compositions_reject_two_monoids():
+    other = Monoid(tuple, lambda a, b: a + b)
+    for compose in (seq_tu, choice_tu):
+        with pytest.raises(ValueError):
+            compose(const_tu([1]), const_tu((2,), other))
+        assert apply_tu(compose(fail_tu(other), const_tu((2,), other)), zipper_of(Const(1))) == (2,)
 
 
 # -- failing searches ----------------------------------------------------------
@@ -709,3 +853,105 @@ def test_try_and_repeat_reach_fixed_points(e):
     assert tried is not None
     normal = repeat_tp(once_bu_tp(step), fuel=10_000)(z)
     assert once_bu_tp(step)(normal) is None
+
+
+# -- the closure-based chains as oracle ------------------------------------------
+
+RULES = {
+    smells: ("join_list", "null_list", "redundant_boolean", "redundant_if"),
+    letlang: ("expr", "exp_c", "uses", "decls", "select"),
+}
+
+
+def recording(name, f, log):
+    # The focus's class and index, not the focus and its position: a runaway's
+    # trees share subtrees, so comparing two runs' copies would take time
+    # exponential in their depth, and a position costs its depth.
+    def rule(v, *z):
+        log.append((name, type(v).__name__, *(w.index for w in z)))
+        return f(v, *z)
+
+    return rule
+
+
+def built_by(impl, run):
+    """``run()``'s result (or exception type) and the rule calls it made, with every
+    ``adhoc`` of the rule modules taken from ``impl``.
+
+    Capturing inlines can deepen a tree without end, and the ``full-*`` sweeps
+    take no fuel; a fixed stack bound keeps those runs short.
+    """
+    log = []
+    with contextlib.ExitStack() as stack:
+        for module, names in RULES.items():
+            for name in names:
+                rule = recording(name, getattr(module, name), log)
+                stack.enter_context(mock.patch.object(module, name, rule))
+        for name in ("adhoc_tp", "adhoc_tpz", "adhoc_tu", "adhoc_tuz"):
+            stack.enter_context(mock.patch.object(letlang, name, getattr(impl, name)))
+        stack.enter_context(mock.patch.object(smells, "adhoc_tp", impl.adhoc_tp))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            result = run()
+        except Exception as exc:
+            result = type(exc)
+        finally:
+            sys.setrecursionlimit(limit)
+    return result, log
+
+
+def retyped(e):
+    """A rule that turns a negation into a declaration list."""
+    return EmptyList() if isinstance(e, Neg) else None
+
+
+# Steps built through the patched names, so each is built by the ``impl`` in force.
+LET_STEPS = {
+    "program": lambda: letlang.program_step(),
+    "arith": lambda: letlang.arith_step(),
+    "retyped": lambda: letlang.adhoc_tp(letlang.program_step(), Exp, retyped),
+    "over id": lambda: letlang.adhoc_tp(id_tp, Exp, letlang.expr),
+    "over try": lambda: letlang.adhoc_tpz(try_tp(letlang.arith_step()), Exp, letlang.exp_c),
+}
+LET_QUERIES = {
+    "errors": lambda: letlang.adhoc_tuz(letlang.adhoc_tuz(fail_tu(), Exp, letlang.uses),
+                                        List, letlang.decls),
+    "names": lambda: letlang.adhoc_tu(fail_tu(), List, letlang.select),
+}
+TU_TRAVERSALS = (full_td_tu, full_bu_tu, once_td_tu, once_bu_tu, stop_td_tu, stop_bu_tu)
+
+
+def agree(run):
+    (got, calls), (want, expected) = built_by(strategies, run), built_by(oracles, run)
+    if RecursionError in (got, want):
+        # Where a runaway runs out of stack depends on how many frames a visit
+        # takes; up to there, the rule calls are the same.
+        n = min(len(calls), len(expected))
+        assert calls[:n] == expected[:n]
+    else:
+        assert (got, calls) == (want, expected)
+
+
+@settings(max_examples=25, deadline=None)
+@given(hst.one_of(let_programs(),
+                  hst.integers(0, 2**32 - 1).map(lambda n: random_program(random.Random(n))),
+                  hst.integers(0, 2**32 - 1).map(
+                      lambda n: random_wellscoped_program(random.Random(n)))))
+def test_let_chains_agree_with_the_closure_chains(root):
+    for build in LET_STEPS.values():
+        for name in strategies.SCHEMES:
+            agree(lambda: from_zipper(
+                strategies.scheme(name, build(), fuel=12)(root_zipper(root))))
+    for build in LET_QUERIES.values():
+        for traversal in TU_TRAVERSALS:
+            agree(lambda: apply_tu(traversal(build()), root_zipper(root)))
+    agree(lambda: letlang.errors_strategic(root_zipper(root)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(hst.one_of(mexps, hst.integers(0, 10**6).map(lambda n: random_mexp(random.Random(n), 5))))
+def test_smell_chain_agrees_with_the_closure_chain(term):
+    for name in strategies.SCHEMES:
+        agree(lambda: from_zipper(strategies.scheme(name, smells.smell_step(), fuel=40)(
+            mexp_zipper(term))))

@@ -20,6 +20,17 @@ COMMANDS = (
     (["smell", "fix"], "if (length xs == 0) then True else False"),
 )
 
+#: The five counters that the rule attempts' meaning rests on, with each
+#: command's counts when it runs alone; a counter left out is 0.
+PINNED_KEYS = ("smells.rule.attempts", "letlang.rule.attempts", "strategies.visits",
+               "smells.rewrites", "letlang.rewrites")
+PINNED = (
+    {"letlang.rule.attempts": 28, "strategies.visits": 35, "letlang.rewrites": 6},
+    {"strategies.visits": 28},
+    {},
+    {"smells.rule.attempts": 40, "strategies.visits": 21, "smells.rewrites": 2},
+)
+
 
 def test_tracer_counts_and_restores(tmp_path, monkeypatch, capsys):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
@@ -61,3 +72,21 @@ def test_rebuilds_only_where_a_focus_was_replaced(tmp_path, monkeypatch, capsys)
     # Analyses and printing replace nothing; the running example has redexes.
     assert rebuilds["check"] == rebuilds["names"] == rebuilds["pretty"] == 0
     assert rebuilds["opt"] > 0
+
+
+def test_tracer_counts_stay_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    for i, ((argv, source), pinned) in enumerate(zip(COMMANDS, PINNED, strict=True)):
+        path = tmp_path / f"input{i}.txt"
+        path.write_text(source, encoding="utf-8")
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            cli.main([*argv, "--input", str(path)])
+        finally:
+            tracer.remove()
+        metrics = tracer.layer_metrics()
+        got = {k: metrics[k] for k in PINNED_KEYS}
+        assert got == {k: pinned.get(k, 0) for k in PINNED_KEYS}, argv
+    capsys.readouterr()
