@@ -30,13 +30,17 @@ def main() -> None:
     parser.add_argument("--fuel", type=positive_int, default=100_000)
     args = parser.parse_args()
 
-    if args.program:
-        with open(args.program, encoding="utf-8") as handle:
-            source = handle.read()
-    else:
-        source = DEFAULT_PROGRAM
-
-    root = L.parse(source)
+    try:
+        if args.program:
+            with open(args.program, encoding="utf-8") as handle:
+                source = handle.read()
+        else:
+            source = DEFAULT_PROGRAM
+        root = L.parse(source)
+    except OSError as exc:
+        parser.error(str(exc))
+    except (UnicodeError, L.ParseError) as exc:
+        parser.error(f"{args.program}: {exc}")
     z = L.root_zipper(root)
 
     print("== program ==")

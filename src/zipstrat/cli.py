@@ -11,7 +11,9 @@ Subcommands::
 Input, from a file or standard input, must be UTF-8.  Exit codes: 0 success,
 1 syntax error, unreadable input or output that cannot be written (a closed
 pipe, or text the output encoding cannot represent), 2 scope errors, 3 rewrite
-budget exhausted, 4 input nested too deeply, 5 usage error (a bad option or
+budget exhausted, 4 input nested too deeply (a let expression past
+``lexing.MAX_DEPTH`` pending parentheses and operators, reported with its
+line:col, or any tree past the Python stack), 5 usage error (a bad option or
 argument).
 Diagnostics go to standard error, one line each.
 """
@@ -23,7 +25,7 @@ import sys
 from typing import Any
 
 from . import letlang, smells
-from .lexing import ParseError
+from .lexing import DepthError, ParseError
 from .strategies import SCHEMES, FuelExhaustedError, apply_tp, scheme
 from .zipper import export_json, from_zipper
 
@@ -177,6 +179,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.handler(args)
+    except DepthError as exc:
+        print(f"input nested too deeply: {exc}", file=sys.stderr)
+        return EXIT_DEPTH
     except ParseError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return EXIT_SYNTAX

@@ -18,7 +18,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .lexing import ParseError, TokenStream, describe, tokenize
+from .lexing import MAX_DEPTH, ParseError, TokenStream, describe, tokenize
 from .strategies import (
     TP,
     adhoc_tp,
@@ -176,40 +176,61 @@ def _parse_decl(p: TokenStream):
     return name, _parse_exp(p)
 
 
+_NEG, _OPEN = object(), object()  # pending entries beside ``(left operand, operator)`` pairs
+
+
 def _parse_exp(p: TokenStream) -> Exp:
-    e = _parse_unary(p)
-    while p.at("op", "+") or p.at("op", "-"):
-        op = p.advance().text
-        rhs = _parse_unary(p)
-        e = Add(e, rhs) if op == "+" else Sub(e, rhs)
-    return e
+    """``exp := unary (('+' | '-') unary)*``, ``unary := '-' unary | atom``,
+    ``atom := int | name | '(' exp ')'``, by precedence climbing over one stack.
 
-
-def _parse_unary(p: TokenStream) -> Exp:
-    if p.at("op", "-"):
-        p.advance()
-        # A minus directly on an integer literal folds into a signed constant,
-        # so optimizer-produced negative constants survive a print/parse trip.
-        if p.at("int"):
-            return Const(-p.integer())
-        return Neg(_parse_unary(p))
-    return _parse_atom(p)
-
-
-def _parse_atom(p: TokenStream) -> Exp:
-    if p.at("int"):
-        return Const(p.integer())
-    if p.at("name"):
-        return Var(p.advance().text)
-    if p.at("op", "("):
-        # Newlines separate declarations; inside parentheses they are blanks.
-        p.parens += 1
-        p.advance()
-        e = _parse_exp(p)
-        p.parens -= 1
-        p.expect("op", ")")
-        return e
-    p.fail(f"expected an expression, found {describe(p.peek())}")
+    The stack holds pending unary minuses, open parentheses and left operands
+    with their ``+``/``-``, at most :data:`MAX_DEPTH` of them.  An operand that
+    is read takes the minuses pending right before it, then at most one left
+    operand, so ``+``/``-`` associate to the left and a unary minus binds
+    tighter.  A minus directly on an integer literal folds into a signed
+    constant, so optimizer-produced negative constants survive a print/parse
+    trip.  Inside parentheses newlines are blanks (``p.parens``).
+    """
+    stack: list = []
+    while True:
+        tok = p.peek()
+        kind = tok.kind
+        if kind == "int":
+            e = Const(p.integer())
+        elif kind == "name":
+            e = Var(p.advance().text)
+        elif kind == "op" and (tok.text == "-" or tok.text == "("):
+            if tok.text == "(":
+                p.parens += 1
+            p.advance()
+            if tok.text == "-" and p.peek().kind == "int":
+                e = Const(-p.integer())
+            else:
+                if len(stack) == MAX_DEPTH:
+                    p.too_deep(tok)
+                stack.append(_NEG if tok.text == "-" else _OPEN)
+                continue
+        else:
+            p.fail(f"expected an expression, found {describe(tok)}")
+        while True:
+            while stack and stack[-1] is _NEG:
+                stack.pop()
+                e = Neg(e)
+            if stack and stack[-1] is not _OPEN:
+                left, op = stack.pop()
+                e = Add(left, e) if op == "+" else Sub(left, e)
+            tok = p.peek()
+            if tok.kind == "op" and (tok.text == "+" or tok.text == "-"):
+                if len(stack) == MAX_DEPTH:
+                    p.too_deep(tok)
+                p.advance()
+                stack.append((e, tok.text))
+                break
+            if not stack:
+                return e
+            p.parens -= 1
+            p.expect("op", ")")
+            stack.pop()
 
 
 def pretty(root: Root) -> str:

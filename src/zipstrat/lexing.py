@@ -16,15 +16,27 @@ class ParseError(ValueError):
         self.col = col
 
 
+#: The most pending entries (open parentheses, prefix operators, left operands
+#: waiting for their infix operator's right side) an expression parser holds.
+MAX_DEPTH = 10_000
+
+
+class DepthError(ParseError):
+    """Input nests deeper than :data:`MAX_DEPTH`; positioned at the token past the limit."""
+
+
 class Token(NamedTuple):
     kind: str  # "name" | "int" | "op" | "keyword" | "newline" | "eof"
     text: str
     pos: int  # offset into the source text
 
 
-def _error(text: str, pos: int, message: str) -> ParseError:
+_KINDS = (None, "newline", "int", "name", "op", "eof", "bad")  # by the pattern's group index
+
+
+def _error(text: str, pos: int, message: str, error: type[ParseError] = ParseError) -> ParseError:
     """A :class:`ParseError` at the 1-based line and column of offset ``pos``."""
-    return ParseError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
+    return error(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
 
 
 def tokenize(
@@ -49,9 +61,10 @@ def tokenize(
         r"|(?P<eof>\Z)|(?P<bad>.))"
     )
     toks: list[Token] = []
+    new = tuple.__new__  # a Token without the Python frame of its constructor
     for m in re.finditer(pattern, text):
-        kind = m.lastgroup
-        word, pos = m[kind], m.start(kind)
+        group = m.lastindex
+        kind, word, pos = _KINDS[group], m[group], m.start(group)
         if kind == "name":
             if word in keywords:
                 kind = "keyword"
@@ -59,7 +72,7 @@ def tokenize(
                 kind, word = "bad", word[0]  # a numeral that is no decimal digit, such as '½'
         if kind == "bad":
             raise _error(text, pos, f"unexpected character {word!r}")
-        toks.append(Token(kind, word, pos))
+        toks.append(new(Token, (kind, word, pos)))
         if kind == "eof":  # after trailing blanks the end would match again, empty
             break
     return toks
@@ -121,3 +134,8 @@ class TokenStream:
 
     def fail(self, message: str) -> NoReturn:
         raise _error(self._text, self.peek().pos, message)
+
+    def too_deep(self, tok: Token) -> NoReturn:
+        """Raise the :class:`DepthError` of a parser that would hold more than :data:`MAX_DEPTH`."""
+        message = f"more than {MAX_DEPTH} nested parentheses and operators"
+        raise _error(self._text, tok.pos, message, DepthError)

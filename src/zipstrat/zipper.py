@@ -379,11 +379,12 @@ class Zipper:
         result = f(self.focus)
         if result is None:
             return None
-        after, before = self.lang.nominal(result), self.lang.nominal(self.focus)
-        if after is not before:
-            raise TypePreservationError(
-                f"transformation changed {before.__name__} into {after.__name__}"
-            )
+        if type(result) is not type(self.focus):  # one class is one nominal type
+            after, before = self.lang.nominal(result), self.lang.nominal(self.focus)
+            if after is not before:
+                raise TypePreservationError(
+                    f"transformation changed {before.__name__} into {after.__name__}"
+                )
         return self._replace(result)
 
 
@@ -407,15 +408,25 @@ _LEAF_BY_KIND = {t.__name__: t for t in _LEAF_TYPES}
 
 
 def export_ast(value: Any, lang: Language) -> dict[str, Any]:
-    """Serialize a tree: nodes as type/ctor/children objects, leaves as kind/value."""
-    if type(value) in _LEAF_TYPES:
-        return {"leaf": type(value).__name__, "value": value}
-    tag = lang.tag(value)
-    return {
-        "type": tag.type_name,
-        "ctor": tag.ctor_name,
-        "children": [export_ast(c, lang) for c in lang.children(value)],
-    }
+    """Serialize a tree: nodes as type/ctor/children objects, leaves as kind/value.
+
+    Walks an explicit stack of ``(kids, entries)`` pairs, each kid exported
+    into the ``children`` list it belongs in, so nesting costs heap, not
+    Python frames.  The names come off the constructor's spec.
+    """
+    top: list[dict[str, Any]] = []
+    pending = [((value,), top)]
+    while pending:
+        kids, entries = pending.pop()
+        for kid in kids:
+            if type(kid) in _LEAF_TYPES:
+                entries.append({"leaf": type(kid).__name__, "value": kid})
+                continue
+            spec, children = lang._spec(kid), []
+            entries.append({"type": spec.base.__name__, "ctor": spec.cls.__name__,
+                            "children": children})
+            pending.append((lang.children(kid), children))
+    return top[0]
 
 
 def import_ast(data: Any, lang: Language) -> Any:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from zipstrat import letlang as L
 from zipstrat import smells as S
-from zipstrat.lexing import ParseError, TokenStream, tokenize
+from zipstrat.lexing import ParseError, TokenStream, describe, tokenize
 from zipstrat.strategies import TU
 from zipstrat.zipper import Language, Zipper
 
@@ -96,7 +96,54 @@ class PlainTokenStream(TokenStream):
         return tok
 
 
+def parse_exp_recursive(p: TokenStream) -> L.Exp:
+    """The recursive-descent expression parser that ``letlang._parse_exp``
+    replaced: one Python frame per precedence level per operand."""
+    e = _parse_unary(p)
+    while p.at("op", "+") or p.at("op", "-"):
+        op = p.advance().text
+        rhs = _parse_unary(p)
+        e = L.Add(e, rhs) if op == "+" else L.Sub(e, rhs)
+    return e
+
+
+def _parse_unary(p: TokenStream) -> L.Exp:
+    if p.at("op", "-"):
+        p.advance()
+        if p.at("int"):
+            return L.Const(-p.integer())
+        return L.Neg(_parse_unary(p))
+    return _parse_atom(p)
+
+
+def _parse_atom(p: TokenStream) -> L.Exp:
+    if p.at("int"):
+        return L.Const(p.integer())
+    if p.at("name"):
+        return L.Var(p.advance().text)
+    if p.at("op", "("):
+        p.parens += 1
+        p.advance()
+        e = parse_exp_recursive(p)
+        p.parens -= 1
+        p.expect("op", ")")
+        return e
+    p.fail(f"expected an expression, found {describe(p.peek())}")
+
+
 # -- tree walks ----------------------------------------------------------------
+
+
+def export_ast_recursive(value, lang: Language) -> dict:
+    """The recursive exporter that ``zipper.export_ast`` replaced."""
+    if type(value) in (bool, int, str):
+        return {"leaf": type(value).__name__, "value": value}
+    tag = lang.tag(value)
+    return {
+        "type": tag.type_name,
+        "ctor": tag.ctor_name,
+        "children": [export_ast_recursive(c, lang) for c in lang.children(value)],
+    }
 
 
 def preorder_values(value, lang: Language) -> list:

@@ -13,6 +13,7 @@ import pytest
 from programs import ERRORS_SOURCE, RUNNING_SOURCE
 from zipstrat import letlang
 from zipstrat.cli import main
+from zipstrat.lexing import MAX_DEPTH
 from zipstrat.zipper import export_ast, import_json
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -261,6 +262,24 @@ def test_deep_input_exits_4_without_traceback(argv, source):
     assert done.returncode == 4, err
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_the_nesting_limit_holds_to_the_level():
+    # At the limit the program prints; one level past it, the opening
+    # parenthesis that would go too deep is named.
+    def nested(depth):
+        return f"let b = 2\n  a = {'(' * depth}1{')' * depth}\nin a"
+
+    done = run_process(["let", "pretty"], stdin=nested(MAX_DEPTH).encode())
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == b"let b = 2\n  a = 1\nin a\n"
+    done = run_process(["let", "pretty"], stdin=nested(MAX_DEPTH + 1).encode())
+    assert done.returncode == 4
+    assert done.stdout == b""
+    assert done.stderr.decode() == (
+        f"input nested too deeply: 2:{MAX_DEPTH + 7}:"
+        f" more than {MAX_DEPTH} nested parentheses and operators\n"
+    )
 
 
 def test_let_opt_on_a_self_reference_exits_4_in_one_line():

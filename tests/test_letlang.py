@@ -86,7 +86,8 @@ from zipstrat.strategies import (
     once_bu_tp,
     scheme,
 )
-from zipstrat.zipper import Language, Zipper, from_zipper, to_zipper
+from zipstrat.lexing import TokenStream, tokenize
+from zipstrat.zipper import Language, Zipper, export_ast, from_zipper, to_zipper
 
 
 def body_zipper(root: Root):
@@ -151,6 +152,43 @@ def test_parse_signed_constants():
 def test_parse_parenthesized_newlines():
     src = "let a = (1 +\n  2) in a"
     assert parse(src).let.decls.exp == Add(Const(1), Const(2))
+
+
+DEEP_EXPS = {
+    "parens": "(" * 4_000 + "1" + ")" * 4_000,
+    "negated-parens": "-(" * 4_000 + "b" + ")" * 4_000,
+    "right-nested-sub": "1 - (" * 4_000 + "1" + ")" * 4_000,
+}
+
+
+@pytest.mark.parametrize("exp", DEEP_EXPS.values(), ids=DEEP_EXPS)
+def test_deep_expressions_parse_and_export_under_a_small_recursion_limit(exp):
+    # Nesting costs the parser and the exporter heap, not Python frames.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        data = export_ast(parse(f"let a = {exp} in a"), LANG)
+    finally:
+        sys.setrecursionlimit(limit)
+    ctors, todo = Counter(), [data]
+    while todo:
+        entry = todo.pop()
+        if "ctor" in entry:
+            ctors[entry["ctor"]] += 1
+            todo += entry["children"]
+    assert ctors["Neg"] + ctors["Sub"] == exp.count("-")  # no minus is on a literal
+
+
+def test_parsing_asks_each_token_at_most_once_what_it_is(monkeypatch):
+    text = "let a = 1 - (2 + -b) - -(3)\n  b = let c = (1 + 2) - c\n    in c + a\nin a - b + 7"
+    calls = []
+    at = TokenStream.at
+    monkeypatch.setattr(TokenStream, "at", lambda self, *a: calls.append(a) or at(self, *a))
+    parse(text)
+    tokens = tokenize(text, symbols=letlang._SYMBOLS, keywords=letlang._KEYWORDS,
+                      keep_newlines=True)
+    assert len(tokens) == 42
+    assert len(calls) <= len(tokens)
 
 
 # -- pretty ---------------------------------------------------------------------

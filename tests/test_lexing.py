@@ -1,5 +1,6 @@
-"""The tokenizer against the character-at-a-time scanner it replaced, and the
-let parser's newline rule against the token filter it replaced."""
+"""The tokenizer against the character-at-a-time scanner it replaced, the let
+parser's newline rule against the token filter it replaced, and its expression
+loop against the recursive descent it replaced."""
 
 from __future__ import annotations
 
@@ -10,7 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import PlainTokenStream, let_tokens_reference, reference_tokens
+from oracles import (
+    PlainTokenStream,
+    let_tokens_reference,
+    parse_exp_recursive,
+    reference_tokens,
+)
 from zipstrat import letlang, smells
 from zipstrat.lexing import ParseError, tokenize
 
@@ -100,19 +106,19 @@ STRAYS = ["(", ")", "\n", "+", "=", ";", "let", "in"]
 
 
 @st.composite
-def let_sources(draw):
+def let_sources(draw, exps=LET_EXPS, strays=STRAYS):
     """A let program whose blanks inside parentheses hold newlines, some corrupted."""
-    decls = draw(st.lists(st.tuples(st.sampled_from("abx"), LET_EXPS), min_size=1, max_size=3))
+    decls = draw(st.lists(st.tuples(st.sampled_from("abx"), exps), min_size=1, max_size=3))
     toks = ["let"]
     for i, (name, exp) in enumerate(decls):
         toks += ([draw(st.sampled_from([";", "\n"]))] if i else []) + [name, "=", *exp]
-    toks += ["in", *draw(LET_EXPS)]
+    toks += ["in", *draw(exps)]
     for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
         i = draw(st.integers(0, len(toks)))
         if draw(st.booleans()) and i < len(toks):
             del toks[i]
         else:
-            toks.insert(i, draw(st.sampled_from(STRAYS)))
+            toks.insert(i, draw(st.sampled_from(strays)))
     text, depth = [draw(OUTER_BLANKS)], 0
     for tok in toks:
         depth += (tok == "(") - (tok == ")" and depth > 0)
@@ -136,4 +142,26 @@ def test_let_parse_agrees_with_the_newline_filter(text):
     with mock.patch.object(letlang, "tokenize", lambda text, **_: let_tokens_reference(text)):
         with mock.patch.object(letlang, "TokenStream", PlainTokenStream):
             old = _parsed(text)
+    assert new == old
+
+
+# Longer expressions, with minuses on literals, and operators and operands among the strays.
+LONG_LET_EXPS = st.recursive(
+    st.sampled_from(["1", "x", "y", "- 2"]).map(str.split),
+    lambda sub: st.one_of(
+        sub.map(lambda e: ["(", *e, ")"]),
+        st.tuples(sub, st.sampled_from("+-"), sub).map(lambda t: [*t[0], t[1], *t[2]]),
+        sub.map(lambda e: ["-", *e]),
+    ),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=500)
+@given(text=st.one_of(let_sources(), let_sources(LONG_LET_EXPS, [*STRAYS, "-", "x", "3"])))
+def test_let_parse_agrees_with_the_recursive_descent_parser(text):
+    # The same tree, or the same message at the same line and column.
+    new = _parsed(text)
+    with mock.patch.object(letlang, "_parse_exp", parse_exp_recursive):
+        old = _parsed(text)
     assert new == old

@@ -34,6 +34,21 @@ def test_demo_rejects_nonpositive_fuel(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("source, message", [
+    ("let a = in a", "bad.let: 1:9: expected an expression, found 'in'"),
+    (None, "No such file or directory"),
+], ids=["syntax-error", "missing-file"])
+def test_demo_reports_a_bad_program_in_one_line(tmp_path, source, message):
+    if source is not None:
+        (tmp_path / "bad.let").write_text(source, encoding="utf-8")
+    done = run_script(ROOT / "scripts" / "demo_let_pipeline.py", "--program", "bad.let",
+                      cwd=tmp_path)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 2  # the usage line and the error
+    assert message in done.stderr.splitlines()[-1]
+
+
 def test_readme_library_example_prints_what_its_comment_says(tmp_path):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme[readme.index("## Library example"):]

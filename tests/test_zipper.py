@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from generators import let_exps, let_programs
-from oracles import preorder_values, replace_at
+from generators import let_exps, let_programs, mexps
+from oracles import export_ast_recursive, preorder_values, replace_at
 from programs import RUNNING, RUNNING_ROOT
 from zipstrat.letlang import (
     LANG,
@@ -160,6 +160,19 @@ def test_trans_m_type_change_raises():
     z = to_zipper(RUNNING, LANG).down_left()  # a List focus
     with pytest.raises(TypePreservationError):
         z.trans_m(lambda _v: Const(1))
+
+
+def test_a_class_keeping_trans_m_asks_for_no_nominal_type(monkeypatch):
+    # One class has one nominal type; only a result of another class is looked up.
+    calls = []
+    nominal = Language.nominal
+    monkeypatch.setattr(Language, "nominal", lambda self, v: calls.append(v) or nominal(self, v))
+    z = to_zipper(smells.Infix("++", smells.Var("xs"), smells.Var("ys")), smells.LANG)
+    swapped = z.trans_m(lambda e: smells.Infix("++", e.right, e.left))
+    assert swapped.focus == smells.Infix("++", smells.Var("ys"), smells.Var("xs"))
+    assert calls == []
+    z.trans_m(lambda _e: smells.IntLit(1))
+    assert len(calls) == 2
 
 
 def test_child_at_counts_every_argument():
@@ -445,6 +458,24 @@ def test_export_shape():
             {"type": "Exp", "ctor": "Const", "children": [{"leaf": "int", "value": 1}]},
         ],
     }
+
+
+@given(st.one_of(let_programs().map(lambda r: (r, LANG)), mexps.map(lambda e: (e, smells.LANG))))
+def test_export_agrees_with_the_recursive_exporter(tree_and_lang):
+    tree, lang = tree_and_lang
+    expected = export_ast_recursive(tree, lang)
+    assert export_ast(tree, lang) == expected
+    assert export_json(tree, lang) == json.dumps(expected)
+
+
+def test_export_builds_no_constructor_tag(calls, monkeypatch):
+    # The names come off the constructor's spec; the children are read once per node.
+    nodes = [v for v in preorder_values(RUNNING_ROOT, LANG) if type(v) not in (str, int, bool)]
+    tag = Language.tag
+    monkeypatch.setattr(Language, "tag", lambda self, v: calls.update(["tag"]) or tag(self, v))
+    calls.clear()
+    export_json(RUNNING_ROOT, LANG)
+    assert calls == {"children": len(nodes)}
 
 
 def test_import_export_identity():
