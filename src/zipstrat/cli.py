@@ -14,7 +14,7 @@ pipe, or text the output encoding cannot represent), 2 scope errors, 3 rewrite
 budget exhausted, 4 input nested too deeply (a let expression past
 ``lexing.MAX_DEPTH`` pending parentheses and operators, reported with its
 line:col, or any tree past the Python stack), 5 usage error (a bad option or
-argument).
+argument), 6 out of memory.
 Diagnostics go to standard error, one line each.
 """
 
@@ -37,6 +37,7 @@ EXIT_SCOPE = 2
 EXIT_FUEL = 3
 EXIT_DEPTH = 4
 EXIT_USAGE = 5
+EXIT_MEMORY = 6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,7 +85,7 @@ def _add_common(parser: argparse.ArgumentParser, *, strategy: bool, fuel: bool, 
             type=positive_int,
             default=DEFAULT_FUEL,
             metavar="N",
-            help=f"maximum number of rewrites (default: {DEFAULT_FUEL})",
+            help=f"maximum number of rewrites, under every strategy (default: {DEFAULT_FUEL})",
         )
     if output:
         parser.add_argument(
@@ -194,6 +195,9 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("input nested too deeply", file=sys.stderr)
         return EXIT_DEPTH
+    except MemoryError:
+        print("out of memory", file=sys.stderr)
+        return EXIT_MEMORY
     finally:
         sys.setrecursionlimit(limit)
 

@@ -29,9 +29,7 @@ from .strategies import (
     apply_tu,
     fail_tp,
     fail_tu,
-    full_td_tp,
     full_td_tu,
-    id_tp,
     innermost,
 )
 from .zipper import Language, NavigationError, Zipper, to_zipper
@@ -596,16 +594,6 @@ def program_step() -> TP:
     return adhoc_tp(adhoc_tpz(fail_tp, Exp, exp_c), Exp, expr)
 
 
-def optimize_single_pass(z: Zipper) -> Zipper | None:
-    """One full top-down sweep of the context-free rules (identity default)."""
-    return apply_tp(full_td_tp(adhoc_tp(id_tp, Exp, expr)), z)
-
-
-def optimize_exprs(z: Zipper, fuel: int | None = None) -> Zipper | None:
-    """Innermost normalization with the context-free rules only."""
-    return apply_tp(innermost(arith_step(), fuel), z)
-
-
 def optimize_program(z: Zipper, fuel: int | None = None) -> Zipper | None:
     """Innermost normalization with all seven rules.
 
@@ -735,9 +723,7 @@ __all__ = [
     "must_be_in",
     "must_not_be_in",
     "names",
-    "optimize_exprs",
     "optimize_program",
-    "optimize_single_pass",
     "parse",
     "pretty",
     "program_step",

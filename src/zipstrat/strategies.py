@@ -19,14 +19,16 @@ ends the walk and ``again`` normalizes the new node's children and retries.
 Each traversal is one kernel call; a TU traversal combines its successes in
 visit order, neighbour with neighbour in a balanced tree.  ``innermost`` is
 the ``bu`` walk under ``again``; ``outermost`` iterates a one-shot top-down
-search to a fixed point.  Both take an optional rewrite budget ("fuel"), so
-divergent rule sets fail loudly; :func:`scheme` builds the four whole-tree
-schemes of :data:`SCHEMES`.
+search to a fixed point.  :func:`scheme` builds the four whole-tree schemes of
+:data:`SCHEMES`.  Each, like ``repeat_tp``, takes an optional rewrite budget
+("fuel"), so divergent rule sets fail loudly; a run charges it in one place, a
+meter around its rule step (``_metered``), so the kernel only walks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import wraps
 from typing import Any, Callable, Optional, TypeVar
 
 from .zipper import Zipper
@@ -104,22 +106,37 @@ def repeat_tp(s: TP, fuel: int | None = None) -> TP:
     """
 
     def run(z: Zipper) -> Zipper:
-        steps = 0
-        while True:
-            r = s(z)
-            if r is None:
-                return z
-            steps += 1
-            _spend(steps, fuel)
+        step = _metered(s, fuel)
+        while (r := step(z)) is not None:
             z = r
+        return z
 
     return run
 
 
-def _spend(steps: int, fuel: int | None) -> None:
-    """Raise :class:`FuelExhaustedError` once a run's ``steps`` rewrites exceed ``fuel``."""
-    if fuel is not None and steps > fuel:
-        raise FuelExhaustedError(f"exceeded {fuel} rewrites without reaching a fixed point")
+def _metered(s: TP, fuel: int | None) -> TP:
+    """``s`` for one run, counting its successes (rewrites): the one past ``fuel`` raises."""
+    if fuel is None:
+        return s
+    left = fuel
+
+    @wraps(s)  # keeps the step's attributes: perfbench's tracer marks the steps it counts
+    def step(z: Zipper) -> Zipper | None:
+        nonlocal left
+        r = s(z)
+        if r is not None:
+            if not left:
+                raise FuelExhaustedError(
+                    f"exceeded {fuel} rewrites without reaching a fixed point; rewrite"
+                    f" {fuel + 1} turned {_a(z.focus)} into {_a(r.focus)} at {z.position}")
+            left -= 1
+        return r
+
+    return step
+
+
+def _a(node: Any) -> str:
+    return f"{'an' if type(node).__name__[0] in 'AEIOU' else 'a'} {type(node).__name__}"
 
 
 # -- strategy construction ---------------------------------------------------
@@ -255,7 +272,7 @@ def choice_tu(a: TU, b: TU) -> TU:
 # -- traversal schemes ------------------------------------------------------------
 
 
-def _tp(s: TP, order: str, policy: str, fuel: int | None = None) -> TP:
+def _tp(s: TP, order: str, policy: str) -> TP:
     """The traversal kernel, the only walk over the tree in this module.
 
     A subtree where nothing succeeded yields ``None`` (under ``again``, the
@@ -263,49 +280,41 @@ def _tp(s: TP, order: str, policy: str, fuel: int | None = None) -> TP:
     put back into its parent, so neither is rebuilt.
     """
 
-    def run(z: Zipper) -> Zipper | None:
-        steps = 0
+    def go(z: Zipper) -> Zipper | None:
+        r = s(z) if order == "td" else None
+        if r is not None:
+            if policy != "full":
+                return r
+            z = r
+        here = r is not None
+        while True:
+            below = moved = False
+            c = z.down_left()
+            while c is not None:
+                r = go(c)
+                if r is not None:
+                    below = True
+                    if r is not c:
+                        c, moved = r, True
+                    if policy == "once":
+                        return c.up() if moved else z
+                # Up from the last child itself, so no level keeps a second zipper alive.
+                r = c.right()
+                if r is None and moved:
+                    z = c.up()
+                c = r
+            if order == "td" or (below and policy == "stop"):
+                break
+            r = s(z)
+            if r is None:
+                break
+            if policy != "again":
+                return r
+            # Normalize the new node's children, then try ``s`` there again.
+            z, here = r, True
+        return z if here or below or policy == "again" else None
 
-        def go(z: Zipper) -> Zipper | None:
-            nonlocal steps
-            r = s(z) if order == "td" else None
-            if r is not None:
-                if policy != "full":
-                    return r
-                z = r
-            here = r is not None
-            while True:
-                below = moved = False
-                c = z.down_left()
-                while c is not None:
-                    r = go(c)
-                    if r is not None:
-                        below = True
-                        if r is not c:
-                            c, moved = r, True
-                        if policy == "once":
-                            return c.up() if moved else z
-                    # Up from the last child itself, so no level keeps a second zipper alive.
-                    r = c.right()
-                    if r is None and moved:
-                        z = c.up()
-                    c = r
-                if order == "td" or (below and policy == "stop"):
-                    break
-                r = s(z)
-                if r is None:
-                    break
-                if policy != "again":
-                    return r
-                # Normalize the new node's children, then try ``s`` there again.
-                steps += 1
-                _spend(steps, fuel)
-                z, here = r, True
-            return z if here or below or policy == "again" else None
-
-        return go(z)
-
-    return run
+    return go
 
 
 def _tu(s: TU, order: str, policy: str) -> TU:
@@ -428,18 +437,18 @@ def innermost(s: TP, fuel: int | None = None) -> TP:
     as it came.  While a rewrite never turns a node before it in postorder
     into a redex, this makes the same rewrites as
     ``repeat_tp(once_bu_tp(s))``.  A step that always succeeds loops
-    forever, hence the optional fuel bound on the rewrites of a run.
+    forever, hence the optional fuel: a meter around ``s`` bounds the rewrites of a run.
     """
-    return _tp(s, "bu", "again", fuel)
+    return lambda z: _tp(_metered(s, fuel), "bu", "again")(z)
 
 
 def outermost(s: TP, fuel: int | None = None) -> TP:
-    """Rewrite the leftmost-outermost redex until none remains."""
-    return repeat_tp(once_td_tp(s), fuel)
+    """Rewrite the leftmost-outermost redex until none remains; the meter sees the redex."""
+    return lambda z: repeat_tp(once_td_tp(_metered(s, fuel)))(z)
 
 
 def scheme(name: str, step: TP, fuel: int | None = None) -> TP:
-    """The scheme ``name`` of :data:`SCHEMES` over ``step``; ``full-*`` sweep once."""
+    """Scheme ``name`` of :data:`SCHEMES` over ``step`` under ``fuel``; ``full-*`` sweep once."""
     # Looked up at call time, so a function replaced in this module (by a tracer) is used.
     match name:
         case "innermost":
@@ -447,9 +456,9 @@ def scheme(name: str, step: TP, fuel: int | None = None) -> TP:
         case "outermost":
             return outermost(step, fuel)
         case "full-td":
-            return try_tp(full_td_tp(step))
+            return lambda z: try_tp(full_td_tp(_metered(step, fuel)))(z)
         case "full-bu":
-            return try_tp(full_bu_tp(step))
+            return lambda z: try_tp(full_bu_tp(_metered(step, fuel)))(z)
     raise ValueError(f"unknown scheme {name!r}; expected one of {', '.join(SCHEMES)}")
 
 

@@ -102,3 +102,11 @@ ERRORS_ROOT = Root(
 )
 
 EXPECTED_ERRORS = ["b", "b", "z", "c"]
+
+
+def rev_source(n: int) -> str:
+    """``rev n``: ``a_i = a_{i-1} + a_{i-1}`` for i from n down to 1, then
+    ``a0 = 1``, with body ``a_n``.  Each use comes before its definition, so
+    copies are inlined before they are folded and the work doubles per level."""
+    decls = [f"a{i} = a{i - 1} + a{i - 1}" for i in range(n, 0, -1)] + ["a0 = 1"]
+    return "let " + "\n  ".join(decls) + f"\nin a{n}"

@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from programs import ERRORS_SOURCE, RUNNING_SOURCE
-from zipstrat import letlang
+from programs import ERRORS_SOURCE, RUNNING_SOURCE, rev_source
+from zipstrat import cli, letlang
 from zipstrat.cli import main
 from zipstrat.lexing import MAX_DEPTH
 from zipstrat.zipper import export_ast, import_json
@@ -117,6 +117,43 @@ def test_let_opt_fuel_exhausted(capsys, source_file):
     assert code == 3
     assert out == ""
     assert "budget" in err
+
+
+def test_let_opt_fuel_exhausted_says_where(capsys, source_file):
+    # The fourth rewrite folds ``c + c``, by then ``3 + 3``, in the nested block.
+    code, out, err = run(
+        capsys,
+        ["let", "opt", "--fuel", "3", "--input", source_file(RUNNING_SOURCE)],
+    )
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "rewrite budget exhausted: exceeded 3 rewrites without reaching a fixed point;"
+        " rewrite 4 turned an Add into a Const at (0, 0, 2, 2, 1, 1)\n"
+    )
+
+
+def test_let_opt_full_td_obeys_the_fuel(capsys, source_file):
+    code, out, err = run(
+        capsys,
+        ["let", "opt", "--strategy", "full-td", "--fuel", "100",
+         "--input", source_file(rev_source(12))],
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("rewrite budget exhausted: exceeded 100 rewrites")
+    assert err.count("\n") == 1
+
+
+def test_out_of_memory_exits_6_in_one_line(capsys, monkeypatch, source_file):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_let_pretty", exhausted)
+    code, out, err = run(capsys, ["let", "pretty", "--input", source_file("let a = 1 in a")])
+    assert code == cli.EXIT_MEMORY == 6
+    assert out == ""
+    assert err == "out of memory\n"
 
 
 def test_let_opt_ast_output(capsys, source_file):

@@ -52,6 +52,7 @@ from zipstrat.letlang import (
     ScopeDomainError,
     Sub,
     Var,
+    arith_step,
     dcli,
     dclo,
     decls,
@@ -69,9 +70,7 @@ from zipstrat.letlang import (
     names,
     select,
     uses,
-    optimize_exprs,
     optimize_program,
-    optimize_single_pass,
     parse,
     pretty,
     program_step,
@@ -82,7 +81,11 @@ from zipstrat.strategies import (
     FuelExhaustedError,
     adhoc_tp,
     adhoc_tpz,
+    apply_tp,
     fail_tp,
+    full_td_tp,
+    id_tp,
+    innermost,
     once_bu_tp,
     scheme,
 )
@@ -773,7 +776,7 @@ def test_inlining_a_flat_block_builds_no_scope_and_rebuilds_linearly(monkeypatch
 
 
 def test_optimize_exprs_running_example():
-    out = optimize_exprs(to_zipper(RUNNING, LANG))
+    out = apply_tp(innermost(arith_step()), to_zipper(RUNNING, LANG))
     assert out.focus == RUNNING_ARITH_NF
 
 
@@ -782,7 +785,7 @@ def test_optimize_exprs_matches_oracle():
     rule = typed_rule(Exp, expr)
     for _ in range(60):
         root = random_program(rng, depth=rng.randint(1, 4))
-        got = from_zipper(optimize_exprs(root_zipper(root)))
+        got = from_zipper(apply_tp(innermost(arith_step()), root_zipper(root)))
         assert got == normalize_anywhere(root, rule, LANG)
 
 
@@ -807,13 +810,13 @@ def test_optimize_program_result_is_normal_form():
 
 def test_optimize_single_pass_always_succeeds():
     z = root_zipper(parse("let x = 1 in x"))
-    assert optimize_single_pass(z) is not None
+    assert apply_tp(full_td_tp(adhoc_tp(id_tp, Exp, expr)), z) is not None
 
 
 def test_optimize_already_normal_is_unchanged():
     root = parse("let a = 1 in a")
     z = to_zipper(root.let, LANG)
-    assert optimize_exprs(z) == z
+    assert apply_tp(innermost(arith_step()), z) == z
 
 
 # -- evaluation ------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from oracles import (
     redexes,
     typed_rule,
 )
-from programs import ERRORS_ROOT, RUNNING, RUNNING_ARITH_NF, RUNNING_ROOT
+from programs import ERRORS_ROOT, RUNNING, RUNNING_ARITH_NF, RUNNING_ROOT, rev_source
 from zipstrat import letlang, smells, strategies
 from zipstrat.letlang import (
     LANG,
@@ -561,6 +561,25 @@ def test_only_the_kernel_moves_a_zipper():
     assert movers == {"_tp"}
 
 
+def test_only_the_meter_charges_the_budget():
+    # One count per run, in one place: the kernel walks and leaves the budget
+    # to the meter around its step.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(strategies.__file__).parent.glob("*.py")}
+    charging = {
+        top.name
+        for tree in trees.values()
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "FuelExhaustedError"
+    }
+    assert charging == {"_metered"}
+    (kernel,) = (top for top in trees["strategies.py"].body if getattr(top, "name", None) == "_tp")
+    assert [a.arg for a in kernel.args.args + kernel.args.kwonlyargs] == ["s", "order", "policy"]
+
+
 # -- full traversals -----------------------------------------------------------
 
 
@@ -753,6 +772,42 @@ def test_innermost_fuel_threshold(step, z):
     for driver in (innermost, restarting):
         with pytest.raises(FuelExhaustedError):
             driver(step, k - 1)(z)
+    # Every scheme allows exactly as many rewrites as it makes unbounded.
+    for name in strategies.SCHEMES:
+        counted, hits = recorded(step)
+        normal = strategies.scheme(name, counted)(z)
+        k = len(hits)
+        assert k > 0, name
+        assert strategies.scheme(name, step, k)(z) == normal, name
+        with pytest.raises(FuelExhaustedError):
+            strategies.scheme(name, step, k - 1)(z)
+
+
+@settings(max_examples=30, deadline=None)
+@given(hst.one_of(
+    hst.integers(0, 2**32 - 1).map(
+        lambda n: (program_step(), root_zipper(random_wellscoped_program(random.Random(n))))),
+    hst.one_of(mexps, hst.integers(0, 10**6).map(lambda n: random_mexp(random.Random(n), 5)))
+    .map(lambda term: (smell_step(), mexp_zipper(term)))),
+    hst.integers(0, 20))
+def test_every_scheme_stays_within_its_fuel(case, fuel):
+    step, z = case
+    for name in strategies.SCHEMES:
+        counted, hits = recorded(step)
+        try:
+            strategies.scheme(name, counted, fuel)(z)
+        except FuelExhaustedError:
+            assert len(hits) == fuel + 1, name
+        else:
+            assert len(hits) <= fuel, name
+
+
+def test_full_td_stops_at_its_fuel_on_rev_12():
+    # Unbounded, the sweep inlines into every copy it made: 18,405 rewrites.
+    counted, hits = recorded(program_step())
+    with pytest.raises(FuelExhaustedError):
+        strategies.scheme("full-td", counted, 100)(root_zipper(letlang.parse(rev_source(12))))
+    assert len(hits) == 101
 
 
 def test_innermost_fuel_guard_is_not_a_recursion():
@@ -878,8 +933,8 @@ def built_by(impl, run):
     """``run()``'s result (or exception type) and the rule calls it made, with every
     ``adhoc`` of the rule modules taken from ``impl``.
 
-    Capturing inlines can deepen a tree without end, and the ``full-*`` sweeps
-    take no fuel; a fixed stack bound keeps those runs short.
+    Capturing inlines can deepen a tree without end before the fuel runs out;
+    a fixed stack bound keeps those runs short.
     """
     log = []
     with contextlib.ExitStack() as stack:
