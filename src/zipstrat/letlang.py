@@ -290,23 +290,16 @@ def _pretty_exp(e: Exp, prec: int) -> str:
 # is what makes shadowing and duplicate reporting work.
 #
 # The equations are the paper's: dcli accumulates down the declaration spine,
-# dclo is dcli at the spine's end, env is the enclosing block's dclo.  Read
-# literally they recompute the whole block at every use, so each block keeps
-# one scope record instead (:func:`_scope`): its visible environment, its own
-# entries first, how many of them it declares, and its level.  env copies the
-# list, dcli slices it and lev reads the level.  The record is memoized on the
-# Let node (outside its dataclass fields, so equality, hashing and the
-# reflected arity are untouched) with the zipper above the block that it was
-# built on, and reused only for a block made from that very zipper, which fixes
-# every site in it.  A Let that the walk up rebuilt after a rewrite gets no
-# record, and neither does a block inside one: the record's sites would keep
-# the garbage copy alive in a reference cycle.
+# dclo is dcli at the spine's end, env is the enclosing block's dclo.  Each
+# call walks each enclosing block's spine once (:func:`_scope`) and keeps
+# nothing, so no tree node holds a zipper of an old version of the tree.
 #
-# The inlining rule needs only the first entry for one name, and reads it off
-# the zipper instead (:func:`_binder`): beside the path from the focus up,
-# every level's siblings are the current tree, so it builds no record and
-# rebuilds nothing stale after a rewrite, except at a use inside its own
-# definition.
+# The use check and the inlining rule ask only for env's first entry for one
+# name, and read it off the zipper instead (:func:`_binder`): beside the path
+# from the focus up, every level's siblings are the current tree, so it builds
+# no environment and rebuilds nothing stale after a rewrite, except at a use
+# inside its own definition.  The declaration check reads the earlier spine
+# nodes of its block off the same links (:func:`decls`).
 
 Env = list[tuple[Name, Zipper]]
 
@@ -330,14 +323,7 @@ def lexeme_assign(z: Zipper) -> Exp | None:
 
 
 def _scope(block: Zipper) -> tuple[Env, int, int]:
-    """The block's visible environment, how many of its entries it declares, and its level.
-
-    Callers copy or slice the list; the memoized one is never handed out.
-    """
-    node = block.focus
-    memo = node.__dict__.get("_scope")
-    if memo is not None and memo[0] is block.above:
-        return memo[1]
+    """The block's visible environment, how many of its entries it declares, and its level."""
     visible = []
     site = block.child_at(1)
     while isinstance(site.focus, (Assign, NestedLet)):
@@ -346,17 +332,11 @@ def _scope(block: Zipper) -> tuple[Env, int, int]:
     visible.reverse()
     own, level = len(visible), 1
     outer = block.parent()
-    keep = block.siblings[block.index] is node
     if not isinstance(outer.focus, Root):
-        outer = _enclosing(outer, Let)
-        above, _, level = _scope(outer)
+        above, _, level = _scope(_enclosing(outer, Let))
         visible += above
         level += 1
-        keep = keep and outer.focus.__dict__.get("_scope", (None,))[0] is outer.above
-    scope = visible, own, level
-    if keep:
-        object.__setattr__(node, "_scope", (block.above, scope))
-    return scope
+    return visible, own, level
 
 
 def dcli(z: Zipper) -> Env:
@@ -401,7 +381,7 @@ def env(z: Zipper) -> Env:
     z = _enclosing(z, (Root, Let))
     if isinstance(z.focus, Root):
         z = z.child_at(1)
-    return _scope(z)[0].copy()
+    return _scope(z)[0]
 
 
 def lev(z: Zipper) -> int:
@@ -442,7 +422,8 @@ def errors_ag(z: Zipper) -> list[Name]:
     """Scope errors in source order, as a synthesized attribute.
 
     Duplicates are reported at the offending re-declaration, missing names
-    at the offending use.
+    at the offending use, by the same per-node checks (:func:`uses`,
+    :func:`decls`) as :func:`errors_strategic`.
     """
     node = z.focus
     if isinstance(node, Root):
@@ -454,24 +435,35 @@ def errors_ag(z: Zipper) -> list[Name]:
     if isinstance(node, (EmptyList, Const)):
         return []
     if isinstance(node, Var):
-        return must_be_in(lexeme(z), env(z))
+        return uses(node, z)
     if isinstance(node, (Assign, NestedLet)):
-        here = must_not_be_in((lexeme(z), z), dcli(z))
-        return here + errors_ag(z.child_at(2)) + errors_ag(z.child_at(3))
+        return decls(node, z) + errors_ag(z.child_at(2)) + errors_ag(z.child_at(3))
     raise ScopeDomainError(f"errors undefined at {type(node).__name__}")
 
 
 def uses(e: Exp, z: Zipper) -> list[Name]:
-    """Per-node use check: a variable must be bound in its environment."""
-    if isinstance(e, Var):
-        return must_be_in(lexeme(z), env(z))
+    """Per-node use check: a variable must be bound in its environment.
+
+    ``must_be_in(lexeme(z), env(z))`` in the paper; a use is bound exactly
+    when :func:`_binder` finds the declaration that ``env`` lists first.
+    """
+    if isinstance(e, Var) and _binder(z, e.name) is None:
+        return [e.name]
     return []
 
 
 def decls(n: List, z: Zipper) -> list[Name]:
-    """Per-node declaration check: a name must be fresh at its level."""
+    """Per-node declaration check: a name must be fresh at its level.
+
+    ``must_not_be_in((lexeme(z), z), dcli(z))`` in the paper, where only the
+    block's own entries share its level: those are the spine nodes that hold
+    the focus in their ``rest`` (index 2), up to the block's first one.
+    """
     if isinstance(n, (Assign, NestedLet)):
-        return must_not_be_in((lexeme(z), z), dcli(z))
+        while z.index == 2:
+            z = z.above
+            if z.focus.name == n.name:
+                return [n.name]
     return []
 
 

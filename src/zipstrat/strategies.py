@@ -128,7 +128,7 @@ def _metered(s: TP, fuel: int | None) -> TP:
             if not left:
                 raise FuelExhaustedError(
                     f"exceeded {fuel} rewrites without reaching a fixed point; rewrite"
-                    f" {fuel + 1} turned {_a(z.focus)} into {_a(r.focus)} at {z.position}")
+                    f" {fuel + 1} turned {_a(z.focus)} into {_a(r.focus)} at {_where(z)}")
             left -= 1
         return r
 
@@ -137,6 +137,17 @@ def _metered(s: TP, fuel: int | None) -> TP:
 
 def _a(node: Any) -> str:
     return f"{'an' if type(node).__name__[0] in 'AEIOU' else 'a'} {type(node).__name__}"
+
+
+_SHOWN = 8  # the indices a long position shows, so a deep run still gets a short line
+
+
+def _where(z: Zipper) -> str:
+    """``z.position``; past :data:`_SHOWN` levels, its depth and its last indices."""
+    position = z.position
+    if len(position) <= _SHOWN:
+        return str(position)
+    return f"depth {len(position)}, (..., {', '.join(map(str, position[-_SHOWN:]))})"
 
 
 # -- strategy construction ---------------------------------------------------

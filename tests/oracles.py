@@ -233,9 +233,10 @@ def scope_errors_walk(root: L.Root) -> list[str]:
 #
 # The paper's equations for ``dcli``/``dclo``/``env``, read literally: each
 # call recomputes the block by recursion along the declaration spine.  They
-# are the reference for the library's table-based attributes.  The inlining
-# rule as the paper states it, which evaluates ``env`` at the use, is the
-# reference for ``exp_c``, which reads its binder off the zipper.
+# are the reference for the library's scope attributes.  The inlining rule
+# and the two per-node checks as the paper states them, which evaluate ``env``
+# or ``dcli`` at the node, are the references for ``exp_c``, ``uses`` and
+# ``decls``, which read their binders off the zipper.
 
 
 def dcli_spec(z: Zipper) -> list:
@@ -282,6 +283,20 @@ def exp_c_spec(e, z: Zipper):
         if n == e.name:
             return L.lexeme_assign(site)
     return None
+
+
+def uses_spec(e, z: Zipper) -> list:
+    """The use check read through ``env``: a variable's name must be in it."""
+    if isinstance(e, L.Var):
+        return L.must_be_in(L.lexeme(z), env_spec(z))
+    return []
+
+
+def decls_spec(n, z: Zipper) -> list:
+    """The declaration check read through ``dcli``: no entry of the name at the same level."""
+    if isinstance(n, (L.Assign, L.NestedLet)):
+        return L.must_not_be_in((L.lexeme(z), z), dcli_spec(z))
+    return []
 
 
 # -- strategy construction -------------------------------------------------------

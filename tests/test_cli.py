@@ -133,6 +133,21 @@ def test_let_opt_fuel_exhausted_says_where(capsys, source_file):
     )
 
 
+def test_let_opt_fuel_exhausted_deep_gives_a_short_line(capsys, source_file):
+    # A budget that runs out 3,000 levels down names the depth and the last few
+    # indices, not one index per level.
+    code, out, err = run(
+        capsys,
+        ["let", "opt", "--fuel", "1",
+         "--input", source_file("let a = 1 in " + "-" * 3000 + "(a + 0)")],
+    )
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and len(err) <= 200
+    assert err.startswith("rewrite budget exhausted: exceeded 1 rewrites")
+    assert " at depth 3002, (..., " in err
+
+
 def test_let_opt_full_td_obeys_the_fuel(capsys, source_file):
     code, out, err = run(
         capsys,

@@ -2,20 +2,23 @@
 
 from __future__ import annotations
 
+import ast
 import gc
 import random
 import sys
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import let_programs, random_program, random_wellscoped_program
+from generators import NAME_POOL, let_programs, random_program, random_wellscoped_program
 from oracles import (
     dcli_spec,
     dclo_spec,
+    decls_spec,
     env_spec,
     exp_c_spec,
     let_names_walk,
@@ -25,6 +28,7 @@ from oracles import (
     scope_errors_walk,
     subtree_at,
     typed_rule,
+    uses_spec,
 )
 from programs import (
     ERRORS_ROOT,
@@ -416,6 +420,36 @@ def test_a_block_shared_at_two_levels_gets_its_own_sites():
             assert scope_view(attribute, here) == scope_view(spec, here)
 
 
+def test_an_optimized_copy_does_not_keep_the_checked_tree_alive():
+    # The copy shares the inner blocks with the original; nothing on those nodes
+    # may remember the zippers that the analysis read them through.
+    root = parse("let w = let c = let d = 1 in 2 in c; a = 1 + 2 in a + w")
+    assert errors_ag(root_zipper(root)) == []
+    out = from_zipper(optimize_program(root_zipper(root)))
+    assert out.let.decls.let.decls.let is root.let.decls.let.decls.let
+    original = weakref.ref(root)
+    del root
+    gc.collect()
+    assert original() is None
+    assert pretty(out) == "let w = let c = let d = 1\n    in 2\n  in c\n  a = 3\nin 3 + w"
+
+
+def test_no_module_stores_state_on_tree_nodes():
+    # Frozen nodes are plain values: a field set behind the dataclass's back
+    # outlives rewrites and keeps whatever it refers to alive.
+    package = Path(letlang.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and (node.attr == "__dict__"
+             or node.attr == "__setattr__" and isinstance(node.value, ast.Name)
+             and node.value.id == "object")
+    ]
+    assert found == []
+
+
 def test_scope_attributes_iterate_along_the_spine():
     n = 3000
     z = root_zipper(flat_block(n)).child_at(1).child_at(1)
@@ -548,19 +582,24 @@ def test_scope_attributes_never_compare_zippers(monkeypatch):
     assert got == expected
 
 
-def test_errors_strategic_evaluates_env_once_per_use(monkeypatch):
-    # A nested block reads its enclosing block's record instead of asking env again.
+def test_errors_strategic_builds_no_environment(monkeypatch):
+    # A use asks only whether a binder is visible, and a declaration only whether
+    # an earlier spine node of its block has its name: both read the zipper, so
+    # no environment list and no scope record is built.
     root = parse(THREE_DEEP)
     calls = Counter()
-    original = letlang.env
 
-    def counted(z):
-        calls["env"] += 1
-        return original(z)
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
 
-    monkeypatch.setattr(letlang, "env", counted)
+    for name in ("env", "_scope"):
+        monkeypatch.setattr(letlang, name, counting(name, getattr(letlang, name)))
     assert errors_strategic(root_zipper(root)) == []
-    assert calls["env"] == sum(isinstance(v, Var) for v in preorder_values(root, LANG)) == 13
+    assert sum(isinstance(v, Var) for v in preorder_values(root, LANG)) == 13
+    assert calls == {}
 
 
 # -- error analyses ----------------------------------------------------------------
@@ -619,6 +658,62 @@ def test_uses_and_decls_per_node():
     assert decls(dup.focus, dup) == ["c"]
     first = z.child_at(1).child_at(1)
     assert decls(first.focus, first) == []
+
+
+CHECKS = [(uses, uses_spec), (decls, decls_spec)]
+
+
+def assert_checks_match_the_equations(top):
+    for pos in positions(top.focus, LANG):
+        z = at(top, pos)
+        for check, spec in CHECKS:
+            assert check(z.focus, z) == spec(z.focus, z)
+
+
+@given(let_programs())
+def test_checks_match_the_equations(root):
+    assert_checks_match_the_equations(root_zipper(root))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5))
+def test_checks_match_the_equations_on_random_programs(seed, depth):
+    assert_checks_match_the_equations(root_zipper(random_program(random.Random(seed), depth)))
+
+
+def grafted(node, name):
+    """``node`` with one more use or declaration of ``name``, of the same nominal type."""
+    match node:
+        case Exp():
+            return Add(node, Var(name))
+        case Let(spine, body):
+            return Let(Assign(name, Var(name), spine), body)
+        case Assign(_, exp, rest):
+            return Assign(name, exp, rest)
+        case NestedLet(_, let, rest):
+            return NestedLet(name, let, rest)
+        case EmptyList():
+            return Assign(name, Var(name), node)
+
+
+@given(let_programs(), st.data())
+def test_checks_match_the_equations_below_a_stale_path(root, data):
+    # Every node inside a replaced subtree is reached through the zipper that
+    # replaced it, whose parent still holds the old subtree.
+    nodes = [p for p in positions(root, LANG)[1:]
+             if not isinstance(subtree_at(root, p, LANG), (str, int))]
+    pos = data.draw(st.sampled_from(nodes))
+    name = data.draw(st.sampled_from(NAME_POOL))
+    rewritten = at(root_zipper(root), pos).trans_m(lambda node: grafted(node, name))
+    assert rewritten.siblings[rewritten.index] is not rewritten.focus
+    assert_checks_match_the_equations(rewritten)
+
+
+@given(let_programs())
+def test_checks_match_the_equations_on_a_block_shared_at_two_levels(root):
+    inner = root.let
+    middle = Let(NestedLet("c", inner, EmptyList()), Var("c"))
+    shared = Root(Let(NestedLet("x", inner, NestedLet("y", middle, EmptyList())), Var("x")))
+    assert_checks_match_the_equations(root_zipper(shared))
 
 
 @given(let_programs())

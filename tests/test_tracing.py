@@ -47,9 +47,10 @@ def test_tracer_counts_and_restores(tmp_path, monkeypatch, capsys):
         tracer.remove()
     capsys.readouterr()
     metrics = tracer.layer_metrics()
-    for key in ("zipper.rebuild.calls", "zipper.moves", "strategies.visits",
-                "letlang.env.calls"):
+    for key in ("zipper.rebuild.calls", "zipper.moves", "strategies.visits"):
         assert metrics[key] > 0, key
+    for key in ("letlang.uses.calls", "letlang.decls.calls"):
+        assert tracer.counts[key] > 0, key
     after = [dict(vars(owner)) for owner in MODULES + CLASSES]
     assert after == before
 
