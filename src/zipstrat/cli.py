@@ -25,7 +25,7 @@ import sys
 from typing import Any
 
 from . import letlang, smells
-from .lexing import DepthError, ParseError
+from .lexing import MAX_DEPTH, DepthError, ParseError
 from .strategies import SCHEMES, FuelExhaustedError, apply_tp, scheme
 from .zipper import export_json, from_zipper
 
@@ -173,10 +173,11 @@ def _cmd_smell_fix(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Attribute evaluation and traversal recurse along the tree; allow deep inputs
-    # while this command runs, and hand the caller back its own limit.
+    # Traversals, printers and ``json.dumps`` (two levels per node) recurse along
+    # the tree; leave room for an expression at the parser's nesting limit while
+    # this command runs, and hand the caller back its own limit.
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 20_000))
+    sys.setrecursionlimit(max(limit, 3 * MAX_DEPTH))
     try:
         args = build_parser().parse_args(argv)
         return args.handler(args)

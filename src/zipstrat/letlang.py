@@ -32,7 +32,7 @@ from .strategies import (
     full_td_tu,
     innermost,
 )
-from .zipper import Language, NavigationError, Zipper, to_zipper
+from .zipper import Language, Zipper, to_zipper
 
 Name = str
 
@@ -289,10 +289,11 @@ def _pretty_exp(e: Exp, prec: int) -> str:
 # pairs, innermost/most recent first; lookup takes the first match, which
 # is what makes shadowing and duplicate reporting work.
 #
-# The equations are the paper's: dcli accumulates down the declaration spine,
-# dclo is dcli at the spine's end, env is the enclosing block's dclo.  Each
-# call walks each enclosing block's spine once (:func:`_scope`) and keeps
-# nothing, so no tree node holds a zipper of an old version of the tree.
+# The equations are the paper's, with loops along the spine: env climbs with
+# parent() to the enclosing block and takes its dclo, dclo walks the spine down
+# to its end and takes dcli there, and dcli climbs the spine back up collecting
+# each declaration, then the enclosing block's env.  Each call keeps nothing,
+# so no tree node holds a zipper of an old version of the tree.
 #
 # The use check and the inlining rule ask only for env's first entry for one
 # name, and read it off the zipper instead (:func:`_binder`): beside the path
@@ -322,80 +323,53 @@ def lexeme_assign(z: Zipper) -> Exp | None:
     return node.exp if isinstance(node, Assign) else None
 
 
-def _scope(block: Zipper) -> tuple[Env, int, int]:
-    """The block's visible environment, how many of its entries it declares, and its level."""
-    visible = []
-    site = block.child_at(1)
-    while isinstance(site.focus, (Assign, NestedLet)):
-        visible.append((lexeme(site), site))
-        site = site.child_at(3)
-    visible.reverse()
-    own, level = len(visible), 1
-    outer = block.parent()
-    if not isinstance(outer.focus, Root):
-        above, _, level = _scope(_enclosing(outer, Let))
-        visible += above
-        level += 1
-    return visible, own, level
-
-
 def dcli(z: Zipper) -> Env:
     """Declarations accumulated above and left of the focus (inherited).
 
-    Restarts from the outer environment at a nested block, so level checks
-    can still see outer declarations.  Below a spine node: the block's own
-    entries that the spine above the focus declares, then the outer ones.
+    Climbs the spine, latest declaration first, and restarts from the outer
+    environment at a nested block, so level checks can still see outer
+    declarations.
     """
-    node = z.focus
-    if isinstance(node, Root):
+    if isinstance(z.focus, Root):
         return []
-    if isinstance(node, Let):
-        visible, own, _ = _scope(z)
-        return visible[own:]
-    z = z.parent()
-    if not isinstance(z.focus, (Assign, NestedLet, Let)):
-        raise ScopeDomainError(f"dcli undefined under {type(z.focus).__name__}")
-    block = _enclosing(z, Let)
-    # The spine nodes above the focus: the depth from the block down to z.
-    above = 0
-    while z.above is not block.above:
-        above += 1
-        z = z.above
-    visible, own, _ = _scope(block)
-    return visible[own - above :]
+    if not isinstance(z.focus, Let):
+        z = z.parent()
+        if not isinstance(z.focus, (Assign, NestedLet, Let)):
+            raise ScopeDomainError(f"dcli undefined under {type(z.focus).__name__}")
+    out = []
+    while isinstance(z.focus, (Assign, NestedLet)):
+        out.append((z.focus.name, z))
+        z = z.parent()
+    outer = z.parent()
+    return out if isinstance(outer.focus, Root) else out + env(outer)
 
 
 def dclo(z: Zipper) -> Env:
-    """The block's complete declaration list (synthesized at the spine's end).
-
-    Every spine node of a block has the same one, which is the block's ``env``.
-    """
-    node = z.focus
-    if isinstance(node, (Root, Let, Assign, NestedLet, EmptyList)):
-        return env(z)
-    raise ScopeDomainError(f"dclo undefined at {type(node).__name__}")
+    """The block's complete declaration list: ``dcli`` at the spine's end (synthesized)."""
+    while not isinstance(z.focus, EmptyList):
+        if isinstance(z.focus, (Root, Let)):
+            z = z.child_at(1)
+        elif isinstance(z.focus, (Assign, NestedLet)):
+            z = z.child_at(3)
+        else:
+            raise ScopeDomainError(f"dclo undefined at {type(z.focus).__name__}")
+    return dcli(z)
 
 
 def env(z: Zipper) -> Env:
     """The environment visible at the focus: the enclosing block's ``dclo``."""
-    z = _enclosing(z, (Root, Let))
-    if isinstance(z.focus, Root):
-        z = z.child_at(1)
-    return _scope(z)[0]
+    while not isinstance(z.focus, (Root, Let)):
+        z = z.parent()
+    return dclo(z)
 
 
 def lev(z: Zipper) -> int:
-    """Nesting level: 0 at the root, +1 per enclosing block."""
-    z = _enclosing(z, (Root, Let))
-    return 0 if isinstance(z.focus, Root) else _scope(z)[2]
-
-
-def _enclosing(z: Zipper, types: type | tuple[type, ...]) -> Zipper:
-    """The nearest ancestor-or-self of a ``types`` node; past the root, as ``parent()`` fails."""
-    found = z.up_to(types)
-    if found is None:
-        raise NavigationError("the root has no parent")
-    return found
+    """Nesting level: 0 at the root, +1 per enclosing block (a ``Let`` up the links)."""
+    level = 0
+    while z is not None:
+        level += isinstance(z.focus, Let)
+        z = z.above
+    return level
 
 
 def must_be_in(name: Name, environment: Env) -> list[Name]:
@@ -547,8 +521,9 @@ def _binder(z: Zipper, name: Name) -> Assign | NestedLet | None:
     block's declarations from there on, a ``Let`` reached from its body sees
     its whole spine, and a spine node reached from its ``rest`` is an earlier
     declaration.  The first hit up the links is ``env``'s: innermost block
-    first, latest declaration first.  A use inside its own definition reads
-    that definition through ``up_to``, the one walk here that rebuilds.
+    first, latest declaration first.  A use inside its own definition climbs
+    to that definition with :meth:`~Zipper.parent`, the one walk here that
+    rebuilds.
     """
     level = z
     while (above := level.above) is not None:
@@ -557,7 +532,9 @@ def _binder(z: Zipper, name: Name) -> Assign | NestedLet | None:
             hit = _last_decl(node.decls if isinstance(node, Let) else node, name)
             if hit is node and isinstance(node, Assign):
                 # Its right-hand side is on the path, where ``node`` may be stale.
-                return z.up_to(Assign).focus
+                while not isinstance(z.focus, Assign):
+                    z = z.parent()
+                return z.focus
             if hit is not None:
                 return hit
         elif level.index == 2 and node.name == name:  # only spine nodes have a third child

@@ -305,23 +305,6 @@ class Zipper:
             return above
         return above._replace(_write_back(self.focus, self)[0])
 
-    def up_to(self, types: type | tuple[type, ...]) -> Zipper | None:
-        """The nearest ancestor-or-self whose focus is an instance of ``types``.
-
-        ``None`` when there is none up to the root; the ancestor zipper itself when
-        no focus on the way was replaced.  Above a replaced focus, each stale level
-        is rebuilt as it is read, as a loop of :meth:`parent` calls would, but only
-        one zipper is made, at the end.
-        """
-        z, focus = self, self.focus
-        while not isinstance(focus, types):
-            above = z.above
-            if above is None:
-                return None
-            focus = above.focus if focus is z.siblings[z.index] else _write_back(focus, z)[0]
-            z = above
-        return z if focus is z.focus else z._replace(focus)
-
     @property
     def at_root(self) -> bool:
         return self.above is None

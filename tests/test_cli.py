@@ -317,21 +317,32 @@ def test_deep_input_exits_4_without_traceback(argv, source):
 
 
 def test_the_nesting_limit_holds_to_the_level():
-    # At the limit the program prints; one level past it, the opening
-    # parenthesis that would go too deep is named.
+    # At the limit the program prints, as text and as an AST (whose JSON encoder
+    # recurses twice per node); one level past it, the opening parenthesis or
+    # the unary minus that would go too deep is named.
     def nested(depth):
         return f"let b = 2\n  a = {'(' * depth}1{')' * depth}\nin a"
+
+    def negated(depth):
+        return f"let a = {'-' * depth}b\nin a"
 
     done = run_process(["let", "pretty"], stdin=nested(MAX_DEPTH).encode())
     assert done.returncode == 0, done.stderr
     assert done.stdout == b"let b = 2\n  a = 1\nin a\n"
-    done = run_process(["let", "pretty"], stdin=nested(MAX_DEPTH + 1).encode())
-    assert done.returncode == 4
-    assert done.stdout == b""
-    assert done.stderr.decode() == (
-        f"input nested too deeply: 2:{MAX_DEPTH + 7}:"
-        f" more than {MAX_DEPTH} nested parentheses and operators\n"
-    )
+    done = run_process(["let", "pretty", "--output", "ast"], stdin=negated(MAX_DEPTH).encode())
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count(b'"ctor": "Neg"') == MAX_DEPTH
+    for argv, source, where in [
+        (["let", "pretty"], nested(MAX_DEPTH + 1), f"2:{MAX_DEPTH + 7}"),
+        (["let", "pretty", "--output", "ast"], negated(MAX_DEPTH + 1), f"1:{MAX_DEPTH + 9}"),
+    ]:
+        done = run_process(argv, stdin=source.encode())
+        assert done.returncode == 4
+        assert done.stdout == b""
+        assert done.stderr.decode() == (
+            f"input nested too deeply: {where}:"
+            f" more than {MAX_DEPTH} nested parentheses and operators\n"
+        )
 
 
 def test_let_opt_on_a_self_reference_exits_4_in_one_line():

@@ -330,6 +330,7 @@ def at(z, pos):
 
 
 SCOPE_ATTRIBUTES = [(env, env_spec), (dcli, dcli_spec), (dclo, dclo_spec)]
+SCOPE_ATTRIBUTE_NAMES = ("env", "dcli", "dclo", "lev")
 
 
 def scope_view(attribute, z):
@@ -468,9 +469,36 @@ def test_scope_attributes_iterate_along_the_spine():
     assert got[3] == 1
 
 
-def test_scope_attributes_cost_linear_in_a_flat_block(monkeypatch):
-    # One table per block: the error analysis evaluates a constant number of
-    # scope attributes per node and walks the spine down once.
+def test_dcli_and_lev_climb_without_walking_the_block_down(monkeypatch):
+    # At the first declaration's right-hand side, dcli climbs past one spine node
+    # and lev reads the links: neither walks the block down.  env must read the
+    # whole block, once down the spine and once back up.
+    n = 1000
+    z = root_zipper(flat_block(n)).child_at(1).child_at(1).child_at(2)
+    moves = Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            moves[name] += 1
+            return fn(*args)
+        return counted
+
+    for name in ("child_at", "up"):
+        monkeypatch.setattr(Zipper, name, counting(name, getattr(Zipper, name)))
+    for attribute in (dcli, lev):
+        moves.clear()
+        attribute(z)
+        assert moves["child_at"] == 0
+        assert moves["up"] <= 3
+    moves.clear()
+    assert len(env(z)) == n
+    assert n <= moves["child_at"] <= n + 2
+    assert moves["child_at"] + moves["up"] <= 2 * n + 8
+
+
+def test_scope_checks_cost_linear_in_a_flat_block(monkeypatch):
+    # The error analysis's per-node checks evaluate at most a constant number of
+    # scope attributes per node, and the traversal walks the spine down once.
     n = 200
     calls = Counter()
 
@@ -488,9 +516,9 @@ def test_scope_attributes_cost_linear_in_a_flat_block(monkeypatch):
     assert calls["child_at"] <= 2 * n
 
 
-def test_scope_attributes_move_up_a_constant_number_of_times(monkeypatch):
-    # A scope attribute reaches its block by reading the path's frames, not by
-    # one up move per spine node above the focus.
+def test_scope_checks_move_up_a_constant_number_of_times(monkeypatch):
+    # The error analysis's per-node checks read the ``above`` links, not one up
+    # move per spine node above the focus.
     n = 200
     calls = Counter()
     up = Zipper.up
@@ -506,9 +534,8 @@ def test_scope_attributes_move_up_a_constant_number_of_times(monkeypatch):
 
 def test_a_block_reached_through_an_equal_deep_path_gets_its_own_sites():
     # Zippers are linked through ``above``, so comparing two equal ones must walk
-    # the links: comparing the ``above`` zippers would recurse once per level.  A
-    # block's scope record is reused only for the zipper above it that it was
-    # built on, so an equal one builds its own.
+    # the links: comparing the ``above`` zippers would recurse once per level.
+    # ``env`` keeps nothing between calls, so an equal path gets sites of its own.
     n = 5000
     spine = NestedLet("w", parse("let c = 1 in c").let, EmptyList())
     for i in reversed(range(n)):
@@ -566,7 +593,7 @@ in b - a"""
 
 
 def test_scope_attributes_never_compare_zippers(monkeypatch):
-    # Scope records are keyed by path identity, so no analysis needs Zipper.__eq__.
+    # The analyses and the optimizer follow links and compare foci, so none needs Zipper.__eq__.
     def run():
         z = root_zipper(parse(THREE_DEEP))
         return errors_strategic(z), errors_ag(z), from_zipper(optimize_program(z))
@@ -585,7 +612,7 @@ def test_scope_attributes_never_compare_zippers(monkeypatch):
 def test_errors_strategic_builds_no_environment(monkeypatch):
     # A use asks only whether a binder is visible, and a declaration only whether
     # an earlier spine node of its block has its name: both read the zipper, so
-    # no environment list and no scope record is built.
+    # no scope attribute is evaluated.
     root = parse(THREE_DEEP)
     calls = Counter()
 
@@ -595,7 +622,7 @@ def test_errors_strategic_builds_no_environment(monkeypatch):
             return fn(*args)
         return counted
 
-    for name in ("env", "_scope"):
+    for name in SCOPE_ATTRIBUTE_NAMES:
         monkeypatch.setattr(letlang, name, counting(name, getattr(letlang, name)))
     assert errors_strategic(root_zipper(root)) == []
     assert sum(isinstance(v, Var) for v in preorder_values(root, LANG)) == 13
@@ -847,8 +874,8 @@ def test_exp_c_agrees_with_the_env_rule_at_every_call(make, seed, depth):
 
 
 def test_inlining_a_flat_block_builds_no_scope_and_rebuilds_linearly(monkeypatch):
-    # Each use reads its binder off the zipper: no scope record is built, and
-    # the spine between the use and its block is not rebuilt per use.
+    # Each use reads its binder off the zipper: no scope attribute is evaluated,
+    # and the spine between the use and its block is not rebuilt per use.
     calls = Counter()
 
     def counting(name, fn):
@@ -857,7 +884,8 @@ def test_inlining_a_flat_block_builds_no_scope_and_rebuilds_linearly(monkeypatch
             return fn(*args)
         return counted
 
-    monkeypatch.setattr(letlang, "_scope", counting("scope", letlang._scope))
+    for name in SCOPE_ATTRIBUTE_NAMES:
+        monkeypatch.setattr(letlang, name, counting("scope", getattr(letlang, name)))
     monkeypatch.setattr(Language, "rebuild", counting("rebuild", Language.rebuild))
     for k in (100, 200, 400):
         calls.clear()

@@ -27,7 +27,6 @@ from zipstrat.letlang import (
     Let,
     List,
     Neg,
-    NestedLet,
     Root,
     Var,
 )
@@ -92,15 +91,6 @@ def test_up_hands_back_the_zipper_it_came_from():
     assert z.down_left().up() is z
     assert z.down_left().right().up() is z
     assert z.up().up() is None
-
-
-def test_up_to_hands_back_the_ancestor_it_came_from():
-    block = to_zipper(RUNNING_ROOT, LANG).child_at(1)
-    use = block.child_at(1).child_at(2).down_left()
-    assert use.focus == Var("b") and use.up_to(Let) is block
-    inner = block.down_left().child_at(3).child_at(3).child_at(2)
-    assert inner.child_at(2).down_left().right().up_to(Let) is inner
-    assert inner.up().up_to(Let) is block and inner.up_to(Let) is inner
 
 
 def test_navigation_preserves_root():
@@ -288,6 +278,13 @@ def to_bottom(root: Root):
     return z
 
 
+def climb(z, types):
+    """The nearest ancestor-or-self of a ``types`` node, by ``parent()`` moves."""
+    while not isinstance(z.focus, types):
+        z = z.parent()
+    return z
+
+
 def test_deep_paths_need_no_recursion():
     depth = 50_000
     root = neg_chain(depth)
@@ -300,15 +297,14 @@ def test_deep_paths_need_no_recursion():
         assert a == b and hash(a) == hash(b)
         assert a != a.up() and a.up() == b.up()
         assert from_zipper(a) is root
-        assert a.up_to(Assign).focus is root.let.decls
-        assert a.up_to(Assign).position == (0, 0)
-        assert a.up_to(Root).at_root and a.up_to(Const) is a
-        assert a.up_to(NestedLet) is None
+        assert climb(a, Assign).focus is root.let.decls
+        assert climb(a, Assign).position == (0, 0)
+        assert climb(a, Root).at_root and climb(a, Const) is a
         assert repr(a) == f"Zipper(focus=Const(value=1), position={a.position!r})"
-        # Above a replaced focus every level is stale: up_to rebuilds them all.
+        # Above a replaced focus every level is stale: parent() rebuilds them all.
         c = a.trans_m(lambda _: Const(2))
         assert c != a
-        block = c.up_to(Let)
+        block = climb(c, Let)
         assert not block.at_root and block.position == (0,)
         assert block.focus is not root.let and block.focus.body == Var("x")
     finally:
@@ -418,15 +414,6 @@ def test_a_sibling_move_after_trans_m_makes_one_frame(calls):
         assert moved.siblings[1] is z.focus and moved.above.focus.exp is z.focus
         assert moved.focus is moved.siblings[moved.index]
         assert moved.above.above is z.above.above
-
-
-def test_up_to_above_a_replaced_focus_makes_no_zipper_per_level(calls):
-    depth = 50
-    z = to_bottom(neg_chain(depth)).trans_m(lambda _: Const(2))
-    calls.clear()
-    block = z.up_to(Let)
-    assert calls == {"rebuild": depth + 2}  # every Neg, the Assign and the Let
-    assert block.position == (0,) and block.focus == from_zipper(z).let
 
 
 def test_only_the_write_back_and_import_rebuild():
@@ -605,48 +592,3 @@ def test_reflection_roundtrip_generated(root):
     for node in preorder_values(root, LANG):
         if not isinstance(node, (str, int, bool)):
             assert LANG.rebuild(LANG.tag(node), LANG.children(node)) == node
-
-
-UP_TO_TYPES = [Root, Let, List, Exp, Assign, NestedLet, Var, Const, str, int, (Root, Let)]
-
-
-@given(
-    let_programs(),
-    st.lists(st.sampled_from(MOVES), max_size=12),
-    st.booleans(),
-    st.lists(st.sampled_from(MOVES), max_size=6),
-    st.sampled_from(UP_TO_TYPES),
-)
-def test_up_to_matches_a_parent_loop(root, moves, replace, more_moves, types):
-    # up_to reads frames instead of moving, but must reach the same place as
-    # parent() in a loop, rebuilding what that loop rebuilds (frames go stale
-    # above a replaced focus, also after further moves).
-    z = _random_walk(to_zipper(root, LANG), moves)
-    if replace:
-        z = _random_walk(z.trans_m(lambda _: FRESH[LANG.nominal(z.focus)]), more_moves)
-    rebuilds = []
-
-    def counted(tag, kids):
-        rebuilds.append(tag)
-        return Language.rebuild(LANG, tag, kids)
-
-    LANG.rebuild = counted
-    try:
-        expected = z
-        while expected is not None and not isinstance(expected.focus, types):
-            expected = expected.up()
-        by_parents = rebuilds[:]
-        rebuilds.clear()
-        got = z.up_to(types)
-    finally:
-        del LANG.rebuild
-    assert rebuilds == by_parents
-    if expected is None:
-        assert got is None
-        return
-    assert got == expected
-    assert got.position == expected.position
-    assert from_zipper(got) == from_zipper(expected)
-    if not replace:
-        assert got.focus is expected.focus
-        assert from_zipper(got) is root
