@@ -9,9 +9,10 @@ evaluation results before and after.
 from __future__ import annotations
 
 import argparse
+import sys
 
 from zipstrat import letlang as L
-from zipstrat.cli import positive_int
+from zipstrat.cli import RECURSION_LIMIT, positive_int
 from zipstrat.strategies import SCHEMES, apply_tp, scheme
 from zipstrat.zipper import from_zipper
 
@@ -29,7 +30,15 @@ def main() -> None:
     parser.add_argument("--program", help="source file (default: the running example)")
     parser.add_argument("--fuel", type=positive_int, default=100_000)
     args = parser.parse_args()
+    # Parsing, evaluation and rewriting recurse along the tree, as under the CLI.
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), RECURSION_LIMIT))
+    try:
+        _run(parser, args)
+    except RecursionError:
+        parser.error("input nested too deeply")
 
+
+def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     try:
         if args.program:
             with open(args.program, encoding="utf-8") as handle:

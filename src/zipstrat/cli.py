@@ -31,6 +31,11 @@ from .zipper import export_json, from_zipper
 
 DEFAULT_FUEL = 1_000_000
 
+#: The recursion limit :func:`main` runs under.  Traversals, printers and
+#: ``json.dumps`` (two levels per node) recurse along the tree; this leaves room
+#: for an expression at the parser's nesting limit.
+RECURSION_LIMIT = 3 * MAX_DEPTH
+
 EXIT_OK = 0
 EXIT_SYNTAX = 1
 EXIT_SCOPE = 2
@@ -68,64 +73,41 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser, *, strategy: bool, fuel: bool, output: bool):
-    parser.add_argument(
-        "--input", default="-", metavar="PATH|-", help="input file, or - for stdin (default)"
-    )
-    if strategy:
-        parser.add_argument(
-            "--strategy",
-            choices=SCHEMES,
-            default="innermost",
-            help="traversal scheme driving the rules (default: innermost)",
-        )
-    if fuel:
-        parser.add_argument(
-            "--fuel",
-            type=positive_int,
-            default=DEFAULT_FUEL,
-            metavar="N",
-            help=f"maximum number of rewrites, under every strategy (default: {DEFAULT_FUEL})",
-        )
-    if output:
-        parser.add_argument(
-            "--output",
-            choices=["text", "ast"],
-            default="text",
-            help="print concrete syntax or the structured AST (default: text)",
-        )
-
-
 def build_parser() -> argparse.ArgumentParser:
+    options = {
+        "--strategy": dict(choices=SCHEMES, default="innermost",
+                           help="traversal scheme driving the rules (default: innermost)"),
+        "--fuel": dict(type=positive_int, default=DEFAULT_FUEL, metavar="N",
+                       help="maximum number of rewrites, under every strategy"
+                       f" (default: {DEFAULT_FUEL})"),
+        "--output": dict(choices=["text", "ast"], default="text",
+                         help="print concrete syntax or the structured AST (default: text)"),
+    }
+    # Built per call, so a handler patched on the module is the one that runs.
+    table = [
+        ("let", "operate on let programs", [
+            ("names", "list declared names in source order", _cmd_let_names, []),
+            ("check", "report scope errors", _cmd_let_check, []),
+            ("opt", "optimize a program", _cmd_let_opt, ["--strategy", "--fuel", "--output"]),
+            ("pretty", "reprint in canonical layout", _cmd_let_pretty, ["--output"]),
+        ]),
+        ("smell", "operate on mini-language expressions", [
+            ("fix", "rewrite an expression smell-free", _cmd_smell_fix, ["--fuel", "--output"]),
+        ]),
+    ]
     parser = _Parser(prog="zipstrat", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
-
-    let_cmd = commands.add_parser("let", help="operate on let programs")
-    let_sub = let_cmd.add_subparsers(dest="subcommand", required=True)
-
-    p = let_sub.add_parser("names", help="list declared names in source order")
-    _add_common(p, strategy=False, fuel=False, output=False)
-    p.set_defaults(handler=_cmd_let_names)
-
-    p = let_sub.add_parser("check", help="report scope errors")
-    _add_common(p, strategy=False, fuel=False, output=False)
-    p.set_defaults(handler=_cmd_let_check)
-
-    p = let_sub.add_parser("opt", help="optimize a program")
-    _add_common(p, strategy=True, fuel=True, output=True)
-    p.set_defaults(handler=_cmd_let_opt)
-
-    p = let_sub.add_parser("pretty", help="reprint in canonical layout")
-    _add_common(p, strategy=False, fuel=False, output=True)
-    p.set_defaults(handler=_cmd_let_pretty)
-
-    smell_cmd = commands.add_parser("smell", help="operate on mini-language expressions")
-    smell_sub = smell_cmd.add_subparsers(dest="subcommand", required=True)
-
-    p = smell_sub.add_parser("fix", help="rewrite an expression smell-free")
-    _add_common(p, strategy=False, fuel=True, output=True)
-    p.set_defaults(handler=_cmd_smell_fix)
-
+    for command, help_text, subcommands in table:
+        group = commands.add_parser(command, help=help_text)
+        sub = group.add_subparsers(dest="subcommand", required=True)
+        for name, help_text, handler, flags in subcommands:
+            p = sub.add_parser(name, help=help_text)
+            p.add_argument(
+                "--input", default="-", metavar="PATH|-", help="input file, or - for stdin (default)"
+            )
+            for flag in flags:
+                p.add_argument(flag, **options[flag])
+            p.set_defaults(handler=handler)
     return parser
 
 
@@ -173,11 +155,10 @@ def _cmd_smell_fix(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Traversals, printers and ``json.dumps`` (two levels per node) recurse along
-    # the tree; leave room for an expression at the parser's nesting limit while
-    # this command runs, and hand the caller back its own limit.
+    # Leave room for deep trees while this command runs, and hand the caller
+    # back its own limit.
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 3 * MAX_DEPTH))
+    sys.setrecursionlimit(max(limit, RECURSION_LIMIT))
     try:
         args = build_parser().parse_args(argv)
         return args.handler(args)

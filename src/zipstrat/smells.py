@@ -54,7 +54,8 @@ class ListLit(MExp):
     items: tuple[MExp, ...]
 
 
-_INFIX_OPS = ("++", "==", ":")
+#: Binding power of each infix operator; the parser and the printer both read it.
+_INFIX = {"==": 1, ":": 2, "++": 2}
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ class Infix(MExp):
     right: MExp
 
     def __post_init__(self):
-        if self.op not in _INFIX_OPS:
+        if self.op not in _INFIX:
             raise ValueError(f"unknown operator {self.op!r}")
 
 
@@ -91,10 +92,11 @@ def mexp_zipper(e: MExp) -> Zipper:
 
 # -- concrete syntax ----------------------------------------------------------
 #
-# Precedence, loosest first: if / == (non-associative) / ":" and "++"
-# (right-associative, one level) / application (name + one atom) / atoms.
+# One precedence ladder, loosest first: 0 ``if``; 1 and 2 the binding powers
+# in ``_INFIX``, ``==`` (non-associative) below ``:`` and ``++`` (both
+# right-associative); 3 application (a name and one atom); 4 atoms.
 
-_SYMBOLS = ("++", "==", ":", ",", "[", "]", "(", ")")
+_SYMBOLS = (*_INFIX, ",", "[", "]", "(", ")")
 _KEYWORDS = frozenset({"if", "then", "else", "True", "False"})
 
 
@@ -108,8 +110,9 @@ def parse_m(text: str) -> MExp:
     return e
 
 
-def _parse_exp(p: TokenStream) -> MExp:
-    if p.at("keyword", "if"):
+def _parse_exp(p: TokenStream, power: int = 0) -> MExp:
+    """An expression whose infix operators bind at least as tightly as ``power``."""
+    if power == 0 and p.at("keyword", "if"):
         p.advance()
         cond = _parse_exp(p)
         p.expect("keyword", "then")
@@ -117,36 +120,20 @@ def _parse_exp(p: TokenStream) -> MExp:
         p.expect("keyword", "else")
         orelse = _parse_exp(p)
         return If(cond, then, orelse)
-    return _parse_eq(p)
-
-
-def _parse_eq(p: TokenStream) -> MExp:
-    left = _parse_cons(p)
-    if p.at("op", "=="):
-        p.advance()
-        right = _parse_cons(p)
-        return Infix("==", left, right)
-    return left
-
-
-def _parse_cons(p: TokenStream) -> MExp:
     left = _parse_app(p)
-    if p.at("op", ":") or p.at("op", "++"):
+    # Only operator tokens spell an operator, so the text alone decides.
+    while _INFIX.get(p.peek().text, -1) >= power:
         op = p.advance().text
-        right = _parse_cons(p)
-        return Infix(op, left, right)
+        # At power 2 the right operand takes every ":" and "++" that follows.
+        left = Infix(op, left, _parse_exp(p, 2))
+        if op == "==":
+            power = 2  # "==" does not chain
     return left
 
 
 def _at_atom(p: TokenStream) -> bool:
-    return (
-        p.at("int")
-        or p.at("name")
-        or p.at("op", "(")
-        or p.at("op", "[")
-        or p.at("keyword", "True")
-        or p.at("keyword", "False")
-    )
+    tok = p.peek()
+    return tok.kind in ("int", "name") or tok.text in ("(", "[", "True", "False")
 
 
 def _parse_app(p: TokenStream) -> MExp:
@@ -183,7 +170,7 @@ def _parse_atom(p: TokenStream) -> MExp:
     p.fail(f"expected an expression, found {describe(p.peek())}")
 
 
-_IF_PREC, _EQ_PREC, _CONS_PREC, _APP_PREC, _ATOM_PREC = 0, 1, 2, 3, 4
+_IF_PREC, _APP_PREC, _ATOM_PREC = 0, 3, 4
 
 
 def pretty_m(e: MExp, prec: int = 0) -> str:
@@ -200,12 +187,10 @@ def pretty_m(e: MExp, prec: int = 0) -> str:
         case Call(fn, arg):
             s = f"{fn} {pretty_m(arg, _ATOM_PREC)}"
             return f"({s})" if prec > _APP_PREC else s
-        case Infix("==", left, right):
-            s = f"{pretty_m(left, _CONS_PREC)} == {pretty_m(right, _CONS_PREC)}"
-            return f"({s})" if prec > _EQ_PREC else s
         case Infix(op, left, right):
-            s = f"{pretty_m(left, _APP_PREC)} {op} {pretty_m(right, _CONS_PREC)}"
-            return f"({s})" if prec > _CONS_PREC else s
+            power = _INFIX[op]
+            s = f"{pretty_m(left, power + 1)} {op} {pretty_m(right, 2)}"
+            return f"({s})" if prec > power else s
         case If(cond, then, orelse):
             s = (
                 f"if {pretty_m(cond, _IF_PREC)} then {pretty_m(then, _IF_PREC)}"

@@ -131,6 +131,115 @@ def _parse_atom(p: TokenStream) -> L.Exp:
     p.fail(f"expected an expression, found {describe(p.peek())}")
 
 
+def parse_m_ladder(p: TokenStream) -> S.MExp:
+    """The smell parser that ``smells._parse_exp`` replaced: one function per
+    precedence level, five Python frames per nested bracket."""
+    if p.at("keyword", "if"):
+        p.advance()
+        cond = parse_m_ladder(p)
+        p.expect("keyword", "then")
+        then = parse_m_ladder(p)
+        p.expect("keyword", "else")
+        orelse = parse_m_ladder(p)
+        return S.If(cond, then, orelse)
+    return _m_parse_eq(p)
+
+
+def _m_parse_eq(p: TokenStream) -> S.MExp:
+    left = _m_parse_cons(p)
+    if p.at("op", "=="):
+        p.advance()
+        right = _m_parse_cons(p)
+        return S.Infix("==", left, right)
+    return left
+
+
+def _m_parse_cons(p: TokenStream) -> S.MExp:
+    left = _m_parse_app(p)
+    if p.at("op", ":") or p.at("op", "++"):
+        op = p.advance().text
+        right = _m_parse_cons(p)
+        return S.Infix(op, left, right)
+    return left
+
+
+def _m_at_atom(p: TokenStream) -> bool:
+    return (
+        p.at("int")
+        or p.at("name")
+        or p.at("op", "(")
+        or p.at("op", "[")
+        or p.at("keyword", "True")
+        or p.at("keyword", "False")
+    )
+
+
+def _m_parse_app(p: TokenStream) -> S.MExp:
+    if p.at("name"):
+        name = p.advance().text
+        if _m_at_atom(p):
+            return S.Call(name, _m_parse_atom(p))
+        return S.Var(name)
+    return _m_parse_atom(p)
+
+
+def _m_parse_atom(p: TokenStream) -> S.MExp:
+    if p.at("int"):
+        return S.IntLit(p.integer())
+    if p.at("keyword", "True") or p.at("keyword", "False"):
+        return S.BoolLit(p.advance().text == "True")
+    if p.at("name"):
+        return S.Var(p.advance().text)
+    if p.at("op", "("):
+        p.advance()
+        e = parse_m_ladder(p)
+        p.expect("op", ")")
+        return e
+    if p.at("op", "["):
+        p.advance()
+        items: list[S.MExp] = []
+        if not p.at("op", "]"):
+            items.append(parse_m_ladder(p))
+            while p.at("op", ","):
+                p.advance()
+                items.append(parse_m_ladder(p))
+        p.expect("op", "]")
+        return S.ListLit(tuple(items))
+    p.fail(f"expected an expression, found {describe(p.peek())}")
+
+
+_IF_PREC, _EQ_PREC, _CONS_PREC, _APP_PREC, _ATOM_PREC = 0, 1, 2, 3, 4
+
+
+def pretty_m_ladder(e: S.MExp, prec: int = 0) -> str:
+    """The smell printer before it read ``smells._INFIX``: one case per level."""
+    match e:
+        case S.Var(name):
+            return name
+        case S.IntLit(value):
+            return str(value)
+        case S.BoolLit(value):
+            return "True" if value else "False"
+        case S.ListLit(items):
+            return "[" + ", ".join(pretty_m_ladder(i, _IF_PREC) for i in items) + "]"
+        case S.Call(fn, arg):
+            s = f"{fn} {pretty_m_ladder(arg, _ATOM_PREC)}"
+            return f"({s})" if prec > _APP_PREC else s
+        case S.Infix("==", left, right):
+            s = f"{pretty_m_ladder(left, _CONS_PREC)} == {pretty_m_ladder(right, _CONS_PREC)}"
+            return f"({s})" if prec > _EQ_PREC else s
+        case S.Infix(op, left, right):
+            s = f"{pretty_m_ladder(left, _APP_PREC)} {op} {pretty_m_ladder(right, _CONS_PREC)}"
+            return f"({s})" if prec > _CONS_PREC else s
+        case S.If(cond, then, orelse):
+            s = (
+                f"if {pretty_m_ladder(cond, _IF_PREC)} then {pretty_m_ladder(then, _IF_PREC)}"
+                f" else {pretty_m_ladder(orelse, _IF_PREC)}"
+            )
+            return f"({s})" if prec > _IF_PREC else s
+    raise TypeError(f"not an expression: {e!r}")
+
+
 # -- tree walks ----------------------------------------------------------------
 
 

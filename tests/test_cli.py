@@ -316,6 +316,19 @@ def test_deep_input_exits_4_without_traceback(argv, source):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("output", ["text", "ast"])
+def test_smell_fix_has_headroom_for_deep_brackets(output):
+    # The smell parser spends three Python frames per nested bracket.
+    depth = 9_000
+    done = run_process(["smell", "fix", "--output", output],
+                       stdin=("[" * depth + "x" + "]" * depth).encode())
+    assert done.returncode == 0, done.stderr
+    if output == "text":
+        assert done.stdout.decode() == "[" * depth + "x" + "]" * depth + "\n"
+    else:
+        assert done.stdout.count(b'"ctor": "ListLit"') == depth
+
+
 def test_the_nesting_limit_holds_to_the_level():
     # At the limit the program prints, as text and as an AST (whose JSON encoder
     # recurses twice per node); one level past it, the opening parenthesis or
@@ -374,7 +387,9 @@ def test_bad_integer_literal_is_a_syntax_error(argv, source):
 @pytest.mark.parametrize("argv", [
     ["let", "opt", "--fuel", "0"],
     ["let", "opt", "--strategy", "sideways"],
-], ids=["fuel-0", "unknown-strategy"])
+    ["let", "names", "--fuel", "3"],
+    ["smell", "fix", "--strategy", "innermost"],
+], ids=["fuel-0", "unknown-strategy", "names-takes-no-fuel", "smell-fix-takes-no-strategy"])
 def test_usage_error_exits_5_with_one_line(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -1,6 +1,7 @@
 """The tokenizer against the character-at-a-time scanner it replaced, the let
-parser's newline rule against the token filter it replaced, and its expression
-loop against the recursive descent it replaced."""
+parser's newline rule against the token filter it replaced, its expression
+loop against the recursive descent it replaced, and the smell parser and
+printer against the precedence ladder they replaced."""
 
 from __future__ import annotations
 
@@ -11,10 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from generators import mexps
 from oracles import (
     PlainTokenStream,
     let_tokens_reference,
     parse_exp_recursive,
+    parse_m_ladder,
+    pretty_m_ladder,
     reference_tokens,
 )
 from zipstrat import letlang, smells
@@ -126,9 +130,9 @@ def let_sources(draw, exps=LET_EXPS, strays=STRAYS):
     return "".join(text)
 
 
-def _parsed(text: str):
+def _parsed(text: str, parse=letlang.parse):
     try:
-        return letlang.parse(text)
+        return parse(text)
     except ParseError as error:
         return (error.message, error.line, error.col)
 
@@ -165,3 +169,39 @@ def test_let_parse_agrees_with_the_recursive_descent_parser(text):
     with mock.patch.object(letlang, "_parse_exp", parse_exp_recursive):
         old = _parsed(text)
     assert new == old
+
+
+SMELL_BLANKS = st.sampled_from([" "] * 6 + ["", "\n", " \n\t"])
+SMELL_STRAYS = ["(", ")", "[", "]", ",", "==", ":", "++", "if", "then", "else", "f", "-3"]
+
+
+@st.composite
+def smell_sources(draw):
+    """A printed mini expression, its tokens rejoined by blanks, some corrupted."""
+    text = smells.pretty_m(draw(mexps))
+    toks = [tok.text for tok in tokenize(text, **GRAMMARS["smell"])[:-1]]
+    if draw(st.booleans()):  # without parentheses, precedence alone shapes the tree
+        toks = [tok for tok in toks if tok not in ("(", ")")]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        i = draw(st.integers(0, len(toks)))
+        if draw(st.booleans()) and i < len(toks):
+            del toks[i]
+        else:
+            toks.insert(i, draw(st.sampled_from(SMELL_STRAYS)))
+    return "".join(draw(SMELL_BLANKS) + tok for tok in toks) + draw(SMELL_BLANKS)
+
+
+@settings(max_examples=500)
+@given(text=smell_sources())
+def test_smell_parse_agrees_with_the_precedence_ladder(text):
+    # The same tree, or the same message at the same line and column.
+    new = _parsed(text, smells.parse_m)
+    with mock.patch.object(smells, "_parse_exp", parse_m_ladder):
+        old = _parsed(text, smells.parse_m)
+    assert new == old
+
+
+@settings(max_examples=500)
+@given(e=mexps, prec=st.integers(0, 4))
+def test_smell_pretty_agrees_with_the_precedence_ladder(e, prec):
+    assert smells.pretty_m(e, prec) == pretty_m_ladder(e, prec)

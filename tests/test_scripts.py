@@ -34,10 +34,24 @@ def test_demo_rejects_nonpositive_fuel(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+def test_demo_runs_a_long_chain_of_declarations(tmp_path):
+    # x0 = 1, x_i = x_(i-1) + 1: evaluating the last name recurses down the chain.
+    decls = ["x0 = 1", *(f"x{i} = x{i - 1} + 1" for i in range(1, 300))]
+    (tmp_path / "chain.let").write_text(
+        "let " + "\n  ".join(decls) + "\nin x299\n", encoding="utf-8"
+    )
+    done = run_script(ROOT / "scripts" / "demo_let_pipeline.py", "--program", "chain.let",
+                      cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stdout + done.stderr
+    assert done.stdout.splitlines().count("value: 300") == 5  # as parsed, and per scheme
+
+
 @pytest.mark.parametrize("source, message", [
     ("let a = in a", "bad.let: 1:9: expected an expression, found 'in'"),
     (None, "No such file or directory"),
-], ids=["syntax-error", "missing-file"])
+    ("let a = " * 20_000 + "1" + " in a" * 20_000, "input nested too deeply"),
+], ids=["syntax-error", "missing-file", "nested-blocks"])
 def test_demo_reports_a_bad_program_in_one_line(tmp_path, source, message):
     if source is not None:
         (tmp_path / "bad.let").write_text(source, encoding="utf-8")
