@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from zipstrat import letlang as L
-from zipstrat.cli import RECURSION_LIMIT, positive_int
+from zipstrat.cli import DEFAULT_FUEL, RECURSION_LIMIT, positive_int
 from zipstrat.strategies import SCHEMES, apply_tp, scheme
 from zipstrat.zipper import from_zipper
 
@@ -28,7 +28,7 @@ in a + 7 - c
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--program", help="source file (default: the running example)")
-    parser.add_argument("--fuel", type=positive_int, default=100_000)
+    parser.add_argument("--fuel", type=positive_int, default=DEFAULT_FUEL)
     args = parser.parse_args()
     # Parsing, evaluation and rewriting recurse along the tree, as under the CLI.
     sys.setrecursionlimit(max(sys.getrecursionlimit(), RECURSION_LIMIT))

@@ -31,10 +31,11 @@ from .zipper import export_json, from_zipper
 
 DEFAULT_FUEL = 1_000_000
 
-#: The recursion limit :func:`main` runs under.  Traversals, printers and
-#: ``json.dumps`` (two levels per node) recurse along the tree; this leaves room
-#: for an expression at the parser's nesting limit.
-RECURSION_LIMIT = 3 * MAX_DEPTH
+#: The recursion limit :func:`main` runs under.  The smell parser (three frames
+#: per bracket), traversals, printers and ``json.dumps`` (two levels per node)
+#: recurse along the tree; this leaves room for an expression at the parsers'
+#: nesting limit, and for the frames of the CLI and its caller beneath it.
+RECURSION_LIMIT = 3 * MAX_DEPTH + 1_000
 
 EXIT_OK = 0
 EXIT_SYNTAX = 1

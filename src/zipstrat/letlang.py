@@ -30,7 +30,7 @@ from .strategies import (
     fail_tp,
     fail_tu,
     full_td_tu,
-    innermost,
+    scheme,
 )
 from .zipper import Language, Zipper, to_zipper
 
@@ -569,7 +569,7 @@ def optimize_program(z: Zipper, fuel: int | None = None) -> Zipper | None:
     Expects a zipper rooted at :class:`Root`: the inlining rule looks names
     up in the blocks above each use, as the environment attribute does.
     """
-    return apply_tp(innermost(program_step(), fuel), z)
+    return apply_tp(scheme("innermost", program_step(), fuel), z)
 
 
 # -- evaluation oracle -----------------------------------------------------------

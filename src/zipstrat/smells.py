@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lexing import ParseError, TokenStream, describe, tokenize
-from .strategies import TP, adhoc_tp, apply_tp, fail_tp, innermost
+from .lexing import MAX_DEPTH, ParseError, TokenStream, describe, tokenize
+from .strategies import TP, adhoc_tp, apply_tp, fail_tp, scheme
 from .zipper import Language, Zipper, from_zipper, to_zipper
 
 Name = str
@@ -152,21 +152,25 @@ def _parse_atom(p: TokenStream) -> MExp:
         return BoolLit(p.advance().text == "True")
     if p.at("name"):
         return Var(p.advance().text)
-    if p.at("op", "("):
-        p.advance()
-        e = _parse_exp(p)
-        p.expect("op", ")")
-        return e
-    if p.at("op", "["):
-        p.advance()
-        items: list[MExp] = []
-        if not p.at("op", "]"):
-            items.append(_parse_exp(p))
-            while p.at("op", ","):
-                p.advance()
+    if p.at("op", "(") or p.at("op", "["):
+        tok = p.advance()
+        p.parens += 1  # open brackets of either kind; no newline token lexes here
+        if p.parens > MAX_DEPTH:
+            p.too_deep(tok)
+        if tok.text == "(":
+            e = _parse_exp(p)
+            p.expect("op", ")")
+        else:
+            items: list[MExp] = []
+            if not p.at("op", "]"):
                 items.append(_parse_exp(p))
-        p.expect("op", "]")
-        return ListLit(tuple(items))
+                while p.at("op", ","):
+                    p.advance()
+                    items.append(_parse_exp(p))
+            p.expect("op", "]")
+            e = ListLit(tuple(items))
+        p.parens -= 1
+        return e
     p.fail(f"expected an expression, found {describe(p.peek())}")
 
 
@@ -264,7 +268,7 @@ def smell_elim(z: Zipper, fuel: int | None = None) -> Zipper | None:
     Every rule strictly shrinks the term, so the fixed point is reached
     without fuel on any finite input; fuel remains available for safety.
     """
-    return apply_tp(innermost(smell_step(), fuel), z)
+    return apply_tp(scheme("innermost", smell_step(), fuel), z)
 
 
 def eliminate_smells(e: MExp, fuel: int | None = None) -> MExp:

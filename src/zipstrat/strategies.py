@@ -20,9 +20,9 @@ Each traversal is one kernel call; a TU traversal combines its successes in
 visit order, neighbour with neighbour in a balanced tree.  ``innermost`` is
 the ``bu`` walk under ``again``; ``outermost`` iterates a one-shot top-down
 search to a fixed point.  :func:`scheme` builds the four whole-tree schemes of
-:data:`SCHEMES`.  Each, like ``repeat_tp``, takes an optional rewrite budget
-("fuel"), so divergent rule sets fail loudly; a run charges it in one place, a
-meter around its rule step (``_metered``), so the kernel only walks.
+:data:`SCHEMES`, and a rewrite budget ("fuel") enters there alone: each run
+meters its rule step once (``_metered``), so divergent rule sets fail loudly,
+the kernel only walks, and ``repeat_tp``, ``innermost`` and ``outermost`` take none.
 """
 
 from __future__ import annotations
@@ -98,16 +98,11 @@ def try_tp(s: TP) -> TP:
     return choice_tp(s, id_tp)
 
 
-def repeat_tp(s: TP, fuel: int | None = None) -> TP:
-    """Apply ``s`` until it fails; return the last success (the input if none).
-
-    With ``fuel`` set, performing more than ``fuel`` rewrites raises
-    :class:`FuelExhaustedError` instead of looping forever.
-    """
+def repeat_tp(s: TP) -> TP:
+    """Apply ``s`` until it fails; return the last success (the input if none)."""
 
     def run(z: Zipper) -> Zipper:
-        step = _metered(s, fuel)
-        while (r := step(z)) is not None:
+        while (r := s(z)) is not None:
             z = r
         return z
 
@@ -435,7 +430,7 @@ def stop_bu_tu(s: TU) -> TU:
 SCHEMES = ("innermost", "outermost", "full-td", "full-bu")
 
 
-def innermost(s: TP, fuel: int | None = None) -> TP:
+def innermost(s: TP) -> TP:
     """Rewrite the leftmost-innermost redex until none remains.
 
     Always succeeds; the result is a normal form of ``s`` under that search
@@ -448,29 +443,24 @@ def innermost(s: TP, fuel: int | None = None) -> TP:
     as it came.  While a rewrite never turns a node before it in postorder
     into a redex, this makes the same rewrites as
     ``repeat_tp(once_bu_tp(s))``.  A step that always succeeds loops
-    forever, hence the optional fuel: a meter around ``s`` bounds the rewrites of a run.
+    forever; :func:`scheme` bounds the rewrites of a run.
     """
-    return lambda z: _tp(_metered(s, fuel), "bu", "again")(z)
+    return _tp(s, "bu", "again")
 
 
-def outermost(s: TP, fuel: int | None = None) -> TP:
-    """Rewrite the leftmost-outermost redex until none remains; the meter sees the redex."""
-    return lambda z: repeat_tp(once_td_tp(_metered(s, fuel)))(z)
+def outermost(s: TP) -> TP:
+    """Rewrite the leftmost-outermost redex until none remains."""
+    return repeat_tp(once_td_tp(s))
 
 
 def scheme(name: str, step: TP, fuel: int | None = None) -> TP:
-    """Scheme ``name`` of :data:`SCHEMES` over ``step`` under ``fuel``; ``full-*`` sweep once."""
+    """Scheme ``name`` of :data:`SCHEMES` over ``step``, each run under ``fuel``; ``full-*`` sweep once."""
     # Looked up at call time, so a function replaced in this module (by a tracer) is used.
-    match name:
-        case "innermost":
-            return innermost(step, fuel)
-        case "outermost":
-            return outermost(step, fuel)
-        case "full-td":
-            return lambda z: try_tp(full_td_tp(_metered(step, fuel)))(z)
-        case "full-bu":
-            return lambda z: try_tp(full_bu_tp(_metered(step, fuel)))(z)
-    raise ValueError(f"unknown scheme {name!r}; expected one of {', '.join(SCHEMES)}")
+    walk = {"innermost": innermost, "outermost": outermost,
+            "full-td": full_td_tp, "full-bu": full_bu_tp}.get(name)
+    if walk is None:
+        raise ValueError(f"unknown scheme {name!r}; expected one of {', '.join(SCHEMES)}")
+    return lambda z: try_tp(walk(_metered(step, fuel)))(z)
 
 
 def apply_tp(s: TP, z: Zipper) -> Zipper | None:

@@ -69,6 +69,7 @@ from zipstrat.strategies import (
     id_tp,
     innermost,
     once_bu_tp,
+    scheme,
     FuelExhaustedError,
 )
 from zipstrat.zipper import export_json, from_zipper, import_json, to_zipper
@@ -271,7 +272,7 @@ def test_criterion_9_divergence_guard():
     with criterion(9, "always-succeeding step exhausts its fuel instead of looping"):
         always = adhoc_tp(id_tp, Exp, expr)
         with pytest.raises(FuelExhaustedError):
-            innermost(always, fuel=1000)(root_zipper(RUNNING_ROOT))
+            scheme("innermost", always, 1000)(root_zipper(RUNNING_ROOT))
 
 
 def test_criterion_10_cli_integration(capsys, tmp_path):

@@ -2,16 +2,24 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import Phase, given, seed, settings
+from hypothesis import strategies as hst
 
+from generators import let_programs, mexps, random_program
 from programs import ERRORS_SOURCE, RUNNING_SOURCE, rev_source
-from zipstrat import cli, letlang
+from zipstrat import cli, letlang, smells
 from zipstrat.cli import main
 from zipstrat.lexing import MAX_DEPTH
 from zipstrat.zipper import export_ast, import_json
@@ -329,6 +337,40 @@ def test_smell_fix_has_headroom_for_deep_brackets(output):
         assert done.stdout.count(b'"ctor": "ListLit"') == depth
 
 
+SMELL_NESTS = {
+    "brackets": ("[", lambda depth: "[" * depth + "x" + "]" * depth),
+    "applications": ("(", lambda depth: "f (" * depth + "x" + ")" * depth),
+}
+
+
+@pytest.mark.parametrize("output", ["text", "ast"])
+@pytest.mark.parametrize("shape", SMELL_NESTS)
+def test_the_smell_nesting_limit_holds_to_the_level(shape, output):
+    # At the limit the term is fixed; one level past it, the bracket that would
+    # go too deep is named.
+    opener, nest = SMELL_NESTS[shape]
+    argv = ["smell", "fix", "--output", output]
+    done = run_process(argv, stdin=nest(MAX_DEPTH).encode())
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == b""
+    if output == "ast":
+        ctor = "ListLit" if shape == "brackets" else "Call"
+        assert done.stdout.count(f'"ctor": "{ctor}"'.encode()) == MAX_DEPTH
+    elif shape == "brackets":
+        assert done.stdout.decode() == nest(MAX_DEPTH) + "\n"
+    else:
+        inner = MAX_DEPTH - 1
+        assert done.stdout.decode() == "f (" * inner + "f x" + ")" * inner + "\n"
+    source = nest(MAX_DEPTH + 1)
+    done = run_process(argv, stdin=source.encode())
+    assert done.returncode == 4
+    assert done.stdout == b""
+    assert done.stderr.decode() == (
+        f"input nested too deeply: 1:{source.rindex(opener) + 1}:"
+        f" more than {MAX_DEPTH} nested parentheses and operators\n"
+    )
+
+
 def test_the_nesting_limit_holds_to_the_level():
     # At the limit the program prints, as text and as an AST (whose JSON encoder
     # recurses twice per node); one level past it, the opening parenthesis or
@@ -404,7 +446,8 @@ def test_usage_error_exits_5_with_one_line(capsys, argv):
     (["let", "pretty"], RUNNING_SOURCE, 0),
     (["let", "opt", "--fuel", "0"], RUNNING_SOURCE, 5),
     (["let", "check"], DEEP_INPUTS["let-check-negations"][1], 4),
-], ids=["ok", "usage", "deep"])
+    (["smell", "fix"], "[" * (MAX_DEPTH + 1) + "x" + "]" * (MAX_DEPTH + 1), 4),
+], ids=["ok", "usage", "deep", "deep-smell"])
 def test_main_restores_the_recursion_limit(capsys, monkeypatch, argv, stdin, code):
     # ``main`` raises the limit for deep inputs; the caller's limit must survive
     # a normal return, argparse's ``SystemExit`` and a ``RecursionError``.
@@ -430,3 +473,112 @@ def test_let_opt_keeps_constants_printable(capsys, source_file, output):
     assert code == 0, err
     result = letlang.parse(out) if output == "text" else import_json(out, letlang.LANG)
     assert letlang.eval_program(result) == letlang.eval_program(letlang.parse(source))
+
+
+# -- the contract as a property -----------------------------------------------
+
+CYCLIC_SOURCES = [
+    "let a = a + 1 in a",
+    "let w = -1\n  y = y + 3\nin -6",
+    "let a = b\n  b = a + 1\nin a",
+    "let a = let b = a - 1\n  in b\nin a",
+]
+SOURCES = hst.one_of(
+    let_programs().map(letlang.pretty),
+    hst.integers(0, 2**32 - 1).map(lambda n: letlang.pretty(random_program(random.Random(n), 3))),
+    mexps.map(smells.pretty_m),
+    hst.sampled_from(CYCLIC_SOURCES),
+)
+TOKENS = ["let", "in", "=", "+", "-", "(", ")", "[", "]", ",", "if", "then", "else", "==",
+          "++", ":", "True", "a", "xs", "f", "1", "\n", "\n  ", " ", "@"]
+EDITS = hst.lists(hst.tuples(hst.sampled_from(["insert", "delete", "duplicate"]),
+                             hst.integers(0, 10**6), hst.sampled_from(TOKENS)), max_size=2)
+BAD_BYTES = hst.sampled_from([None, None, None, b"\xff", b"\xc3", b"\xed\xa0\x80"])
+
+
+def commands(fuel):
+    """Every subcommand under every output and scheme, rewriting under ``fuel``."""
+    budget = ["--fuel", str(fuel)]
+    return [
+        ["let", "names"],
+        ["let", "check"],
+        *(["let", "opt", "--strategy", name, *budget, "--output", output]
+          for name in cli.SCHEMES for output in ("text", "ast")),
+        ["let", "pretty", "--output", "text"],
+        ["let", "pretty", "--output", "ast"],
+        ["smell", "fix", *budget, "--output", "text"],
+        ["smell", "fix", *budget, "--output", "ast"],
+    ]
+
+
+def mutated(text, edits, bad, at):
+    """``text`` with tokens inserted, deleted or duplicated, then bytes that are no UTF-8."""
+    pieces = re.findall(r"\s+|\w+|[^\w\s]+", text)
+    for kind, where, token in edits:
+        i = where % (len(pieces) + 1)
+        if kind == "insert":
+            pieces.insert(i, token)
+        elif pieces:
+            i %= len(pieces)
+            if kind == "delete":
+                del pieces[i]
+            else:
+                pieces.insert(i, pieces[i])
+    data = "".join(pieces).encode()
+    if bad is not None:
+        at %= len(data) + 1
+        data = data[:at] + bad + data[at:]
+    return data
+
+
+def run_in_process(argv, data):
+    out, err = io.StringIO(), io.StringIO()
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    with mock.patch.object(sys, "stdin", stdin), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@seed(2021)
+# No explain phase: it re-runs failing examples under a line tracer, which at
+# fourteen commands an example takes minutes.
+@settings(max_examples=150, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+@given(SOURCES, EDITS, BAD_BYTES, hst.integers(0, 10**6), hst.integers(1, 12))
+def test_every_command_keeps_the_exit_code_contract(source, edits, bad, at, fuel):
+    # A small budget ends a cyclic program's runaway while its tree is still shallow.
+    data = mutated(source, edits, bad, at)
+    for argv in commands(fuel):
+        code, out, err = run_in_process(argv, data)
+        command = " ".join(argv[:2])
+        assert code in {cli.EXIT_OK, cli.EXIT_SYNTAX, cli.EXIT_SCOPE, cli.EXIT_FUEL,
+                        cli.EXIT_DEPTH, cli.EXIT_USAGE, cli.EXIT_MEMORY}, argv
+        if code not in (cli.EXIT_OK, cli.EXIT_SCOPE):
+            assert out == "", argv
+            assert err.endswith("\n") and err.count("\n") == 1, (argv, err)
+            assert code != cli.EXIT_FUEL or command in ("let opt", "smell fix"), argv
+            continue
+        assert err == "", argv
+        assert code == cli.EXIT_OK or command == "let check", argv
+        if command == "smell fix":
+            fixed = (smells.parse_m(out) if argv[-1] == "text"
+                     else import_json(out, smells.LANG))
+            assert smells.eliminate_smells(fixed) == fixed, argv
+            continue
+        root = letlang.parse(data.decode())
+        if command == "let names":
+            assert out.splitlines() == letlang.names(letlang.root_zipper(root))
+        elif command == "let check":
+            errors = letlang.errors_strategic(letlang.root_zipper(root))
+            assert out.splitlines() == errors
+            assert (code == cli.EXIT_SCOPE) == bool(errors)
+        elif command == "let pretty":
+            shown = letlang.parse(out) if argv[-1] == "text" else import_json(out, letlang.LANG)
+            assert shown == root, argv
+            if argv[-1] == "text":
+                assert out == letlang.pretty(root) + "\n"
+        elif argv[-1] == "text":
+            letlang.parse(out)
+        else:
+            import_json(out, letlang.LANG)

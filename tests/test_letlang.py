@@ -93,7 +93,7 @@ from zipstrat.strategies import (
     once_bu_tp,
     scheme,
 )
-from zipstrat.lexing import TokenStream, tokenize
+from zipstrat.lexing import MAX_DEPTH, DepthError, TokenStream, tokenize
 from zipstrat.zipper import Language, Zipper, export_ast, from_zipper, to_zipper
 
 
@@ -125,15 +125,21 @@ def test_parse_errors_example():
 
 
 def test_parse_requires_a_declaration():
-    with pytest.raises(ParseError):
-        parse("let in a")
+    for source, message in [("let in a", "expected name"),
+                            ("let a = 1;", "unexpected end of input in declarations")]:
+        with pytest.raises(ParseError, match=message):
+            parse(source)
 
 
 def test_parse_error_position():
-    with pytest.raises(ParseError) as info:
-        parse("let a = 1 in +")
-    assert info.value.line == 1
-    assert info.value.col == 14
+    # Each "1 + (" holds a left operand and a parenthesis: the last "+" is one too many.
+    plus = "let a = " + "1 + (" * (MAX_DEPTH // 2) + "1 + 1" + ")" * (MAX_DEPTH // 2) + " in a"
+    for source, col, error in [("let a = 1 in +", 14, ParseError),
+                               (plus, 5 * MAX_DEPTH // 2 + 11, DepthError)]:
+        with pytest.raises(error) as info:
+            parse(source)
+        assert info.value.line == 1
+        assert info.value.col == col
 
 
 def test_parse_rejects_trailing_garbage():
@@ -223,6 +229,14 @@ def test_pretty_negative_and_negation():
     root = Root(Let(Assign("x", Neg(Const(-5)), EmptyList()), Const(-2)))
     assert pretty(root) == "let x = -(-5)\nin -2"
     assert parse(pretty(root)) == root
+    # Trees no source text parses to: a block with no declarations, a list where
+    # an expression belongs.
+    with pytest.raises(ValueError, match="no declarations"):
+        pretty(Root(Let(EmptyList(), Const(1))))
+    misplaced = Root(Let(Assign("x", Const(1), EmptyList()), EmptyList()))
+    for show in (pretty, eval_program):
+        with pytest.raises(TypeError, match="not an expression"):
+            show(misplaced)
 
 
 @given(let_programs())
@@ -280,6 +294,8 @@ def test_lexeme():
     assert isinstance(nested.focus, NestedLet)
     assert lexeme(nested) == "b"
     assert lexeme_assign(nested) is None
+    with pytest.raises(ScopeDomainError, match="no name at Root"):
+        lexeme(root_zipper(RUNNING_ROOT))
 
 
 def test_must_be_in():
@@ -634,6 +650,9 @@ def test_errors_strategic_builds_no_environment(monkeypatch):
 
 def test_errors_ag_on_error_example():
     assert errors_ag(root_zipper(ERRORS_ROOT)) == EXPECTED_ERRORS
+    name = root_zipper(ERRORS_ROOT).child_at(1).child_at(1).child_at(1)
+    with pytest.raises(ScopeDomainError, match="errors undefined at str"):
+        errors_ag(name)
 
 
 def test_errors_strategic_on_error_example():

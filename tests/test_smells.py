@@ -83,6 +83,10 @@ def test_parse_application_tightest():
 def test_parse_lists():
     assert parse_m("[]") == ListLit(())
     assert parse_m("[1, x, True]") == ListLit((IntLit(1), Var("x"), BoolLit(True)))
+    # A literal holds its own kind only: bool is a subclass of int.
+    for literal, value in [(IntLit, True), (BoolLit, 1)]:
+        with pytest.raises(TypeError):
+            literal(value)
 
 
 def test_parse_error_position():
@@ -101,6 +105,8 @@ def test_pretty_examples():
     assert pretty_m(parse_m("(a : b) : c")) == "(a : b) : c"
     assert pretty_m(parse_m("not (f x)")) == "not (f x)"
     assert pretty_m(parse_m("if b then True else False")) == "if b then True else False"
+    with pytest.raises(TypeError, match="not an expression"):
+        pretty_m(ListLit(("x",)))
 
 
 @given(mexps)

@@ -152,15 +152,15 @@ def outcome(driver, s, z, fuel):
     """The normalized root, or the error a runaway ended in, and the rewrites made."""
     step, hits = recorded(s)
     try:
-        out = from_zipper(driver(step, fuel)(z))
+        out = from_zipper(driver(strategies._metered(step, fuel))(z))
     except (FuelExhaustedError, RecursionError) as exc:
         out = type(exc)
     return out, hits
 
 
-def restarting(s, fuel):
+def restarting(s):
     """The reference driver: a leftmost-innermost search restarted after every rewrite."""
-    return repeat_tp(once_bu_tp(s), fuel)
+    return repeat_tp(once_bu_tp(s))
 
 
 def test_repeat_tp_matches_innermost():
@@ -192,11 +192,6 @@ def test_repeat_tp_matches_innermost():
     finally:
         sys.setrecursionlimit(limit)
     assert runaways > 0
-
-
-def test_repeat_tp_fuel_exhausted():
-    with pytest.raises(FuelExhaustedError):
-        repeat_tp(id_tp, fuel=10)(zipper_of(Const(1)))
 
 
 # -- adhoc dispatch --------------------------------------------------------------
@@ -396,6 +391,7 @@ def test_seq_tu_append_order():
     z = zipper_of(Const(1))
     assert apply_tu(seq_tu(const_tu([1]), const_tu([2])), z) == [1, 2]
     assert apply_tu(seq_tu(fail_tu(), const_tu([2])), z) == [2]
+    assert apply_tu(seq_tu(const_tu([1]), fail_tu()), z) == [1]
     assert apply_tu(seq_tu(fail_tu(), fail_tu()), z) is None
 
 
@@ -580,6 +576,28 @@ def test_only_the_meter_charges_the_budget():
     assert [a.arg for a in kernel.args.args + kernel.args.kwonlyargs] == ["s", "order", "policy"]
 
 
+def test_a_budget_enters_only_through_scheme():
+    # One door: each run of a scheme builds the one meter, and the combinators
+    # it drives take no budget of their own.
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(strategies.__file__).parent.glob("*.py")]
+    metering = [
+        top.name
+        for tree in trees
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "_metered"
+    ]
+    assert metering == ["scheme"]
+    functions = {top.name: top for tree in trees for top in tree.body
+                 if isinstance(top, ast.FunctionDef)}
+    for name in ("repeat_tp", "innermost", "outermost"):
+        args = functions[name].args
+        assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["s"], name
+
+
 # -- full traversals -----------------------------------------------------------
 
 
@@ -755,7 +773,7 @@ def test_innermost_result_is_normal_form():
 
 def test_innermost_fuel_guard():
     with pytest.raises(FuelExhaustedError):
-        innermost(adhoc_tp(id_tp, Exp, expr), fuel=1000)(zipper_of(RUNNING))
+        strategies.scheme("innermost", adhoc_tp(id_tp, Exp, expr), 1000)(zipper_of(RUNNING))
 
 
 @pytest.mark.parametrize("step, z", [
@@ -768,10 +786,10 @@ def test_innermost_fuel_threshold(step, z):
     normal = innermost(counted)(z)
     k = len(hits)
     assert k > 0
-    assert innermost(step, fuel=k)(z) == normal
+    assert innermost(strategies._metered(step, k))(z) == normal
     for driver in (innermost, restarting):
         with pytest.raises(FuelExhaustedError):
-            driver(step, k - 1)(z)
+            driver(strategies._metered(step, k - 1))(z)
     # Every scheme allows exactly as many rewrites as it makes unbounded.
     for name in strategies.SCHEMES:
         counted, hits = recorded(step)
@@ -781,6 +799,8 @@ def test_innermost_fuel_threshold(step, z):
         assert strategies.scheme(name, step, k)(z) == normal, name
         with pytest.raises(FuelExhaustedError):
             strategies.scheme(name, step, k - 1)(z)
+    with pytest.raises(ValueError, match="unknown scheme 'sideways'"):
+        strategies.scheme("sideways", step, k)
 
 
 @settings(max_examples=30, deadline=None)
@@ -821,7 +841,7 @@ def test_innermost_fuel_guard_is_not_a_recursion():
         z = z.down_left()
     fuel = 2 * sys.getrecursionlimit()
     with pytest.raises(FuelExhaustedError):
-        innermost(adhoc_tp(id_tp, Exp, expr), fuel=fuel)(z)
+        strategies.scheme("innermost", adhoc_tp(id_tp, Exp, expr), fuel)(z)
 
 
 def test_innermost_renormalizes_only_what_a_rewrite_produced():
@@ -872,7 +892,7 @@ def test_rules_confluent_on_small_exps():
 
 COMBINATORS = [
     ("try", lambda s: try_tp(s)),
-    ("repeat", lambda s: repeat_tp(s, fuel=10_000)),
+    ("repeat", lambda s: repeat_tp(strategies._metered(s, 10_000))),
     ("seq", lambda s: seq_tp(s, id_tp)),
     ("choice", lambda s: choice_tp(s, fail_tp)),
     ("full_td", full_td_tp),
@@ -881,8 +901,8 @@ COMBINATORS = [
     ("once_bu", once_bu_tp),
     ("stop_td", stop_td_tp),
     ("stop_bu", stop_bu_tp),
-    ("innermost", lambda s: innermost(s, fuel=10_000)),
-    ("outermost", lambda s: outermost(s, fuel=10_000)),
+    ("innermost", lambda s: strategies.scheme("innermost", s, 10_000)),
+    ("outermost", lambda s: strategies.scheme("outermost", s, 10_000)),
 ]
 
 
@@ -906,7 +926,7 @@ def test_try_and_repeat_reach_fixed_points(e):
     step = arith()
     tried = try_tp(step)(z)
     assert tried is not None
-    normal = repeat_tp(once_bu_tp(step), fuel=10_000)(z)
+    normal = repeat_tp(once_bu_tp(strategies._metered(step, 10_000)))(z)
     assert once_bu_tp(step)(normal) is None
 
 

@@ -107,6 +107,13 @@ def test_down_right_mirrors_down_left():
 def test_right_then_left_restores():
     z = to_zipper(RUNNING, LANG).down_left()
     assert z.right().left() == z
+    # An equal focus elsewhere is another place: under another class, at another index.
+    assert z != z.focus
+    one = Const(1)
+    assert to_zipper(Neg(one), LANG).down_left() != to_zipper(Add(one, one), LANG).down_left()
+    twice = to_zipper(Add(one, one), LANG)
+    assert twice.down_left() != twice.down_right()
+    assert twice.down_left() != to_zipper(Add(one, Const(2)), LANG).down_left()
 
 
 def test_get_hole_by_nominal_type():
@@ -257,6 +264,26 @@ def test_register_rejects_duplicates_and_nondataclasses():
         lang.register(Root)
     with pytest.raises(RegistrationError):
         lang.register(object)
+
+    @dataclass(frozen=True)
+    class Spread:
+        items: tuple[Exp, ...]
+        last: Exp
+
+    @dataclass(frozen=True)
+    class Pair:
+        both: tuple[int, str]
+
+    @dataclass(frozen=True)
+    class Listed:
+        items: list[int]
+
+    for base, cls, message in [(Exp, Root, "not a subclass of Exp"),
+                               (Spread, Spread, "exactly one field"),
+                               (Pair, Pair, "only tuple"),
+                               (Listed, Listed, "unsupported field annotation")]:
+        with pytest.raises(RegistrationError, match=message):
+            lang.register(base, cls)
 
 
 # -- deep paths -------------------------------------------------------------------
@@ -484,6 +511,7 @@ def test_import_rejects_malformed():
     # Unhashable kinds, types and constructors, and children that are no list.
     one = [{"leaf": "int", "value": 1}]
     for data in (
+        one,
         {"leaf": [], "value": 1},
         {"type": ["Exp"], "ctor": "Const", "children": one},
         {"type": "Exp", "ctor": {}, "children": []},
