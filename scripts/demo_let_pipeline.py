@@ -3,7 +3,8 @@
 
 Prints the parsed program, its declared names, scope errors from both
 analyses, the optimized form under each traversal scheme, and the
-evaluation results before and after.
+evaluation results before and after.  It ends as the CLI does, under
+``zipstrat.cli.run``.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import argparse
 import sys
 
 from zipstrat import letlang as L
-from zipstrat.cli import DEFAULT_FUEL, RECURSION_LIMIT, positive_int
-from zipstrat.strategies import SCHEMES, apply_tp, scheme
+from zipstrat.cli import positive_int, run
+from zipstrat.strategies import DEFAULT_FUEL, SCHEMES, apply_tp, scheme
 from zipstrat.zipper import from_zipper
 
 DEFAULT_PROGRAM = """\
@@ -30,26 +31,16 @@ def main() -> None:
     parser.add_argument("--program", help="source file (default: the running example)")
     parser.add_argument("--fuel", type=positive_int, default=DEFAULT_FUEL)
     args = parser.parse_args()
-    # Parsing, evaluation and rewriting recurse along the tree, as under the CLI.
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), RECURSION_LIMIT))
-    try:
-        _run(parser, args)
-    except RecursionError:
-        parser.error("input nested too deeply")
+    sys.exit(run(lambda: _run(args)))
 
 
-def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    try:
-        if args.program:
-            with open(args.program, encoding="utf-8") as handle:
-                source = handle.read()
-        else:
-            source = DEFAULT_PROGRAM
-        root = L.parse(source)
-    except OSError as exc:
-        parser.error(str(exc))
-    except (UnicodeError, L.ParseError) as exc:
-        parser.error(f"{args.program}: {exc}")
+def _run(args: argparse.Namespace) -> int:
+    if args.program:
+        with open(args.program, encoding="utf-8") as handle:
+            source = handle.read()
+    else:
+        source = DEFAULT_PROGRAM
+    root = L.parse(source)
     z = L.root_zipper(root)
 
     print("== program ==")
@@ -69,6 +60,7 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
         print(L.pretty(out))
         print("value:", L.eval_program(out))
         print()
+    return 0
 
 
 if __name__ == "__main__":

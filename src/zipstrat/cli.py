@@ -15,26 +15,24 @@ budget exhausted, 4 input nested too deeply (a let expression past
 ``lexing.MAX_DEPTH`` pending parentheses and operators, reported with its
 line:col, or any tree past the Python stack), 5 usage error (a bad option or
 argument), 6 out of memory.
-Diagnostics go to standard error, one line each.
+Diagnostics go to standard error, one line each (see :func:`run`, which the demo uses too).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any
+from typing import Any, Callable
 
 from . import letlang, smells
 from .lexing import MAX_DEPTH, DepthError, ParseError
-from .strategies import SCHEMES, FuelExhaustedError, apply_tp, scheme
+from .strategies import DEFAULT_FUEL, SCHEMES, FuelExhaustedError, apply_tp, scheme
 from .zipper import export_json, from_zipper
 
-DEFAULT_FUEL = 1_000_000
-
-#: The recursion limit :func:`main` runs under.  The smell parser (three frames
-#: per bracket), traversals, printers and ``json.dumps`` (two levels per node)
-#: recurse along the tree; this leaves room for an expression at the parsers'
-#: nesting limit, and for the frames of the CLI and its caller beneath it.
+#: The recursion limit :func:`run` sets while its task runs.  The smell parser
+#: (three frames per bracket), traversals, printers and ``json.dumps`` (two
+#: levels per node) recurse along the tree; this leaves room for an expression
+#: at the parsers' nesting limit, and for the frames of the CLI and its caller.
 RECURSION_LIMIT = 3 * MAX_DEPTH + 1_000
 
 EXIT_OK = 0
@@ -155,14 +153,13 @@ def _cmd_smell_fix(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def main(argv: list[str] | None = None) -> int:
-    # Leave room for deep trees while this command runs, and hand the caller
-    # back its own limit.
+def run(task: Callable[[], int]) -> int:
+    """Run ``task`` under :data:`RECURSION_LIMIT`, then restore the caller's limit.
+    Return its exit code; what it raises becomes a listed exit code and one stderr line."""
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, RECURSION_LIMIT))
     try:
-        args = build_parser().parse_args(argv)
-        return args.handler(args)
+        return task()
     except DepthError as exc:
         print(f"input nested too deeply: {exc}", file=sys.stderr)
         return EXIT_DEPTH
@@ -183,6 +180,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_MEMORY
     finally:
         sys.setrecursionlimit(limit)
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    return run(lambda: args.handler(args))
 
 
 if __name__ == "__main__":

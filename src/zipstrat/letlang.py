@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .lexing import MAX_DEPTH, ParseError, TokenStream, describe, tokenize
 from .strategies import (
+    DEFAULT_FUEL,
     TP,
     adhoc_tp,
     adhoc_tpz,
@@ -236,7 +237,9 @@ def pretty(root: Root) -> str:
 
     ``parse(pretty(r)) == r`` for every parser-producible tree.
     """
-    return _pretty_let(root.let, 0)
+    out: list[str] = []
+    _pretty_let(root.let, 0, out)
+    return "".join(out)
 
 
 def _decl_nodes(spine: List) -> list[Assign | NestedLet]:
@@ -247,17 +250,18 @@ def _decl_nodes(spine: List) -> list[Assign | NestedLet]:
     return out
 
 
-def _pretty_let(node: Let, level: int) -> str:
+def _pretty_let(node: Let, level: int, out: list[str]) -> None:
+    """Appends the block's text to ``out`` piece by piece, so nothing is copied per level."""
     decls = _decl_nodes(node.decls)
     if not decls:
         raise ValueError("cannot render a let with no declarations")
-    lines = []
     for i, d in enumerate(decls):
-        rhs = _pretty_let(d.let, level + 1) if isinstance(d, NestedLet) else _pretty_exp(d.exp, 0)
-        text = f"{d.name} = {rhs}"
-        lines.append("let " + text if i == 0 else "  " * (level + 1) + text)
-    lines.append("  " * level + "in " + _pretty_exp(node.body, 0))
-    return "\n".join(lines)
+        out.append(f"let {d.name} = " if i == 0 else f"\n{'  ' * (level + 1)}{d.name} = ")
+        if isinstance(d, NestedLet):
+            _pretty_let(d.let, level + 1, out)
+        else:
+            out.append(_pretty_exp(d.exp, 0))
+    out.append(f"\n{'  ' * level}in {_pretty_exp(node.body, 0)}")
 
 
 _ADDITIVE, _UNARY = 1, 2
@@ -563,7 +567,7 @@ def program_step() -> TP:
     return adhoc_tp(adhoc_tpz(fail_tp, Exp, exp_c), Exp, expr)
 
 
-def optimize_program(z: Zipper, fuel: int | None = None) -> Zipper | None:
+def optimize_program(z: Zipper, fuel: int = DEFAULT_FUEL) -> Zipper | None:
     """Innermost normalization with all seven rules.
 
     Expects a zipper rooted at :class:`Root`: the inlining rule looks names

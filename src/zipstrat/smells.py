@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lexing import MAX_DEPTH, ParseError, TokenStream, describe, tokenize
-from .strategies import TP, adhoc_tp, apply_tp, fail_tp, scheme
+from .strategies import DEFAULT_FUEL, TP, adhoc_tp, apply_tp, fail_tp, scheme
 from .zipper import Language, Zipper, from_zipper, to_zipper
 
 Name = str
@@ -262,16 +262,16 @@ def smell_step() -> TP:
     return step
 
 
-def smell_elim(z: Zipper, fuel: int | None = None) -> Zipper | None:
+def smell_elim(z: Zipper, fuel: int = DEFAULT_FUEL) -> Zipper | None:
     """Innermost normalization with the four rule families; always succeeds.
 
-    Every rule strictly shrinks the term, so the fixed point is reached
-    without fuel on any finite input; fuel remains available for safety.
+    Every rule strictly shrinks the term, so the fixed point is reached on any
+    finite input; ``fuel`` bounds the rewrites all the same, as in every scheme run.
     """
     return apply_tp(scheme("innermost", smell_step(), fuel), z)
 
 
-def eliminate_smells(e: MExp, fuel: int | None = None) -> MExp:
+def eliminate_smells(e: MExp, fuel: int = DEFAULT_FUEL) -> MExp:
     """Convenience wrapper: rewrite an expression value to its smell-free form."""
     return from_zipper(smell_elim(mexp_zipper(e), fuel))
 

@@ -20,9 +20,10 @@ Each traversal is one kernel call; a TU traversal combines its successes in
 visit order, neighbour with neighbour in a balanced tree.  ``innermost`` is
 the ``bu`` walk under ``again``; ``outermost`` iterates a one-shot top-down
 search to a fixed point.  :func:`scheme` builds the four whole-tree schemes of
-:data:`SCHEMES`, and a rewrite budget ("fuel") enters there alone: each run
-meters its rule step once (``_metered``), so divergent rule sets fail loudly,
-the kernel only walks, and ``repeat_tp``, ``innermost`` and ``outermost`` take none.
+:data:`SCHEMES`, and a rewrite budget ("fuel", :data:`DEFAULT_FUEL` by default)
+enters there alone: each run meters its rule step once (``_metered``), so
+divergent rule sets fail loudly, the kernel only walks, and ``repeat_tp``,
+``innermost`` and ``outermost`` take none.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ T = TypeVar("T")
 
 #: A type-preserving strategy: partial zipper transformation.
 TP = Callable[[Zipper], Optional[Zipper]]
+
+#: The rewrite budget of a :func:`scheme` run whose caller names none.
+DEFAULT_FUEL = 1_000_000
 
 
 class FuelExhaustedError(RuntimeError):
@@ -109,10 +113,8 @@ def repeat_tp(s: TP) -> TP:
     return run
 
 
-def _metered(s: TP, fuel: int | None) -> TP:
+def _metered(s: TP, fuel: int) -> TP:
     """``s`` for one run, counting its successes (rewrites): the one past ``fuel`` raises."""
-    if fuel is None:
-        return s
     left = fuel
 
     @wraps(s)  # keeps the step's attributes: perfbench's tracer marks the steps it counts
@@ -453,7 +455,7 @@ def outermost(s: TP) -> TP:
     return repeat_tp(once_td_tp(s))
 
 
-def scheme(name: str, step: TP, fuel: int | None = None) -> TP:
+def scheme(name: str, step: TP, fuel: int = DEFAULT_FUEL) -> TP:
     """Scheme ``name`` of :data:`SCHEMES` over ``step``, each run under ``fuel``; ``full-*`` sweep once."""
     # Looked up at call time, so a function replaced in this module (by a tracer) is used.
     walk = {"innermost": innermost, "outermost": outermost,

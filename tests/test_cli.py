@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -19,7 +21,7 @@ from hypothesis import strategies as hst
 
 from generators import let_programs, mexps, random_program
 from programs import ERRORS_SOURCE, RUNNING_SOURCE, rev_source
-from zipstrat import cli, letlang, smells
+from zipstrat import cli, letlang, smells, strategies
 from zipstrat.cli import main
 from zipstrat.lexing import MAX_DEPTH
 from zipstrat.zipper import export_ast, import_json
@@ -462,6 +464,33 @@ def test_main_restores_the_recursion_limit(capsys, monkeypatch, argv, stdin, cod
         assert sys.getrecursionlimit() == 1_500
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_one_function_ends_every_run_and_one_default_bounds_every_budget():
+    # ``cli.run`` alone sets the recursion limit and catches a RecursionError,
+    # for the CLI and the demo script alike; the meter has one path, and every
+    # budget a caller may leave out is ``strategies.DEFAULT_FUEL``.
+    catching = {"RecursionError", "RuntimeError", "Exception", "BaseException"}
+    limits, catches, functions = set(), set(), {}
+    for path in [*(ROOT / "src" / "zipstrat").glob("*.py"), *(ROOT / "scripts").glob("*.py")]:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            functions[where] = top
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                        and node.func.attr == "setrecursionlimit":
+                    limits.add(where)
+                if isinstance(node, ast.ExceptHandler) and (node.type is None or any(
+                        isinstance(n, ast.Name) and n.id in catching for n in ast.walk(node.type))):
+                    catches.add(where)
+    assert limits == catches == {"cli.run"}
+    compared = [{ast.unparse(side) for side in (node.left, *node.comparators)}
+                for node in ast.walk(functions["strategies._metered"])
+                if isinstance(node, ast.Compare)]
+    assert not [sides for sides in compared if {"fuel", "None"} <= sides]
+    for fn in (strategies.scheme, letlang.optimize_program, smells.smell_elim,
+               smells.eliminate_smells):
+        assert inspect.signature(fn).parameters["fuel"].default is strategies.DEFAULT_FUEL, fn
 
 
 @pytest.mark.parametrize("output", ["text", "ast"])

@@ -6,6 +6,7 @@ import ast
 import gc
 import random
 import sys
+import time
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -242,6 +243,22 @@ def test_pretty_negative_and_negation():
 @given(let_programs())
 def test_pretty_parse_roundtrip(root):
     assert parse(pretty(root)) == root
+
+
+def test_nested_blocks_print_in_time_linear_in_the_output():
+    # Each block's text is appended once, not copied into every enclosing block.
+    n = 2_000
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 10 * n))
+    try:
+        root = parse("let a = " * n + "1" + " in 1" * n)
+        started = time.perf_counter()
+        text = pretty(root)
+        elapsed = time.perf_counter() - started
+        assert parse(text) == root
+    finally:
+        sys.setrecursionlimit(limit)
+    assert elapsed < 1.0
 
 
 # -- attributes -------------------------------------------------------------------

@@ -47,20 +47,28 @@ def test_demo_runs_a_long_chain_of_declarations(tmp_path):
     assert done.stdout.splitlines().count("value: 300") == 5  # as parsed, and per scheme
 
 
-@pytest.mark.parametrize("source, message", [
-    ("let a = in a", "bad.let: 1:9: expected an expression, found 'in'"),
-    (None, "No such file or directory"),
-    ("let a = " * 20_000 + "1" + " in a" * 20_000, "input nested too deeply"),
-], ids=["syntax-error", "missing-file", "nested-blocks"])
-def test_demo_reports_a_bad_program_in_one_line(tmp_path, source, message):
+@pytest.mark.parametrize("source, fuel, code, message, printed", [
+    ("let a = in a", [], 1, "syntax error: 1:9: expected an expression, found 'in'", []),
+    (None, [], 1, "No such file or directory", []),
+    ("let a = " * 20_000 + "1" + " in a" * 20_000, [], 4, "input nested too deeply", []),
+    (b"let a = \xff in a", [], 1, "'utf-8' codec can't decode byte 0xff", []),
+    ("let a = b\n  b = a\nin a", ["--fuel", "100"], 3, "rewrite budget exhausted: ",
+     ["== program =="]),
+], ids=["syntax-error", "missing-file", "nested-blocks", "bad-utf8", "cycle-past-fuel"])
+def test_demo_reports_a_bad_program_in_one_line(tmp_path, source, fuel, code, message, printed):
+    # The demo ends under ``cli.run``, as the CLI does: its exit code, one line
+    # on stderr, and what it printed before the failure.
+    if isinstance(source, str):
+        source = source.encode()
     if source is not None:
-        (tmp_path / "bad.let").write_text(source, encoding="utf-8")
-    done = run_script(ROOT / "scripts" / "demo_let_pipeline.py", "--program", "bad.let",
+        (tmp_path / "bad.let").write_bytes(source)
+    done = run_script(ROOT / "scripts" / "demo_let_pipeline.py", "--program", "bad.let", *fuel,
                       cwd=tmp_path)
-    assert done.returncode == 2
-    assert done.stdout == ""
-    assert len(done.stderr.splitlines()) == 2  # the usage line and the error
-    assert message in done.stderr.splitlines()[-1]
+    assert done.returncode == code
+    assert re.findall(r"^== .* ==$", done.stdout, re.M) == printed
+    assert bool(done.stdout) == bool(printed)
+    assert len(done.stderr.splitlines()) == 1
+    assert message in done.stderr
 
 
 def test_readme_library_example_prints_what_its_comment_says(tmp_path):
