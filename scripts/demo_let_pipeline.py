@@ -14,7 +14,7 @@ import sys
 
 from zipstrat import letlang as L
 from zipstrat.cli import positive_int, run
-from zipstrat.strategies import DEFAULT_FUEL, SCHEMES, apply_tp, scheme
+from zipstrat.strategies import DEFAULT_FUEL, SCHEMES
 from zipstrat.zipper import from_zipper
 
 DEFAULT_PROGRAM = """\
@@ -52,10 +52,8 @@ def _run(args: argparse.Namespace) -> int:
     print("value:", L.eval_program(root))
     print()
 
-    step = L.program_step()
     for name in SCHEMES:
-        strategy = scheme(name, step, args.fuel)
-        out = from_zipper(apply_tp(strategy, L.root_zipper(root)))
+        out = from_zipper(L.optimize_program(L.root_zipper(root), args.fuel, name))
         print(f"== optimized, {name} ==")
         print(L.pretty(out))
         print("value:", L.eval_program(out))

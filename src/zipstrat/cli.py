@@ -26,7 +26,7 @@ from typing import Any, Callable
 
 from . import letlang, smells
 from .lexing import MAX_DEPTH, DepthError, ParseError
-from .strategies import DEFAULT_FUEL, SCHEMES, FuelExhaustedError, apply_tp, scheme
+from .strategies import DEFAULT_FUEL, SCHEMES, FuelExhaustedError
 from .zipper import export_json, from_zipper
 
 #: The recursion limit :func:`run` sets while its task runs.  The smell parser
@@ -134,9 +134,8 @@ def _cmd_let_check(args: argparse.Namespace) -> int:
 
 def _cmd_let_opt(args: argparse.Namespace) -> int:
     root = letlang.parse(_read_input(args.input))
-    strategy = scheme(args.strategy, letlang.program_step(), args.fuel)
-    optimized = from_zipper(apply_tp(strategy, letlang.root_zipper(root)))
-    _emit_tree(args, optimized, letlang.LANG, letlang.pretty)
+    optimized = letlang.optimize_program(letlang.root_zipper(root), args.fuel, args.strategy)
+    _emit_tree(args, from_zipper(optimized), letlang.LANG, letlang.pretty)
     return EXIT_OK
 
 

@@ -567,13 +567,14 @@ def program_step() -> TP:
     return adhoc_tp(adhoc_tpz(fail_tp, Exp, exp_c), Exp, expr)
 
 
-def optimize_program(z: Zipper, fuel: int = DEFAULT_FUEL) -> Zipper | None:
-    """Innermost normalization with all seven rules.
+def optimize_program(z: Zipper, fuel: int = DEFAULT_FUEL, strategy: str = "innermost") -> Zipper:
+    """All seven rules under scheme ``strategy`` of ``strategies.SCHEMES``; the one door of a run.
 
+    ``innermost`` and ``outermost`` normalize; the ``full-*`` schemes sweep once and do not.
     Expects a zipper rooted at :class:`Root`: the inlining rule looks names
     up in the blocks above each use, as the environment attribute does.
     """
-    return apply_tp(scheme("innermost", program_step(), fuel), z)
+    return apply_tp(scheme(strategy, program_step(), fuel), z)
 
 
 # -- evaluation oracle -----------------------------------------------------------

@@ -113,11 +113,15 @@ def parse_m(text: str) -> MExp:
 def _parse_exp(p: TokenStream, power: int = 0) -> MExp:
     """An expression whose infix operators bind at least as tightly as ``power``."""
     if power == 0 and p.at("keyword", "if"):
-        p.advance()
+        tok = p.advance()
+        p.parens += 1  # open up to its else-branch; else-if chains, like ":" chains, go uncounted
+        if p.parens > MAX_DEPTH:
+            p.too_deep(tok)
         cond = _parse_exp(p)
         p.expect("keyword", "then")
         then = _parse_exp(p)
         p.expect("keyword", "else")
+        p.parens -= 1
         orelse = _parse_exp(p)
         return If(cond, then, orelse)
     left = _parse_app(p)

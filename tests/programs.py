@@ -110,3 +110,54 @@ def rev_source(n: int) -> str:
     copies are inlined before they are folded and the work doubles per level."""
     decls = [f"a{i} = a{i - 1} + a{i - 1}" for i in range(n, 0, -1)] + ["a0 = 1"]
     return "let " + "\n  ".join(decls) + f"\nin a{n}"
+
+
+# The other input shapes whose cost or depth grows with a size.
+
+
+def flat_source(k: int) -> str:
+    """The flat block: ``x0 = 1``, then ``x_i = x_{i-1} + 1`` up to ``x_{k-1}``, its body."""
+    decls = ["x0 = 1"] + [f"x{i} = x{i - 1} + 1" for i in range(1, k)]
+    return "let " + "\n  ".join(decls) + f"\nin x{k - 1}"
+
+
+def nested_chain_source(n: int) -> str:
+    """``b = let c = 1 in c``, ``a0 = b``, then ``a_i = a_{i-1} + a_{i-1}`` up to
+    ``a_n``, its body.  ``b`` is bound to a block, so no inlined copy folds."""
+    decls = ["b = let c = 1\n  in c", "a0 = b"]
+    decls += [f"a{i} = a{i - 1} + a{i - 1}" for i in range(1, n + 1)]
+    return "let " + "\n  ".join(decls) + f"\nin a{n}"
+
+
+def sum_source(n: int) -> str:
+    """The n-term sum ``1 + … + 1``."""
+    return "let a = " + " + ".join(["1"] * n) + "\nin a"
+
+
+def sub_chain_source(n: int) -> str:
+    """``let y = let z = 1 in z in y - 1 - … - 1``, with n subtractions."""
+    return "let y = let z = 1\n  in z\nin y" + " - 1" * n
+
+
+def parens_source(depth: int) -> str:
+    """A constant inside ``depth`` nested parentheses."""
+    return f"let a = {'(' * depth}1{')' * depth}\nin a"
+
+
+def minus_source(depth: int) -> str:
+    """A name under a chain of ``depth`` unary minuses."""
+    return f"let b = 1\n  a = {'-' * depth}b\nin a"
+
+
+def join_list_source(n: int) -> str:
+    """A smell list of n ``[x_i] ++ ys`` items, each one ``join_list`` redex."""
+    return "[" + ", ".join(f"[x{i}] ++ ys" for i in range(n)) + "]"
+
+
+def brackets_source(depth: int) -> str:
+    """A smell name inside ``depth`` nested brackets."""
+    return "[" * depth + "x" + "]" * depth
+
+
+SHAPES = (rev_source, flat_source, nested_chain_source, sum_source, sub_chain_source,
+          parens_source, minus_source, join_list_source, brackets_source)

@@ -16,11 +16,11 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import Phase, given, seed, settings
+from hypothesis import Phase, example, given, seed, settings
 from hypothesis import strategies as hst
 
 from generators import let_programs, mexps, random_program
-from programs import ERRORS_SOURCE, RUNNING_SOURCE, rev_source
+from programs import ERRORS_SOURCE, RUNNING_SOURCE, SHAPES, brackets_source, rev_source
 from zipstrat import cli, letlang, smells, strategies
 from zipstrat.cli import main
 from zipstrat.lexing import MAX_DEPTH
@@ -340,25 +340,26 @@ def test_smell_fix_has_headroom_for_deep_brackets(output):
 
 
 SMELL_NESTS = {
-    "brackets": ("[", lambda depth: "[" * depth + "x" + "]" * depth),
+    "brackets": ("[", brackets_source),
     "applications": ("(", lambda depth: "f (" * depth + "x" + ")" * depth),
+    "ifs": ("if", lambda depth: "if " * depth + "x" + " then x else x" * depth),
 }
 
 
 @pytest.mark.parametrize("output", ["text", "ast"])
 @pytest.mark.parametrize("shape", SMELL_NESTS)
 def test_the_smell_nesting_limit_holds_to_the_level(shape, output):
-    # At the limit the term is fixed; one level past it, the bracket that would
-    # go too deep is named.
+    # At the limit the term is fixed; one level past it, the bracket or the
+    # ``if`` that would go too deep is named.
     opener, nest = SMELL_NESTS[shape]
     argv = ["smell", "fix", "--output", output]
     done = run_process(argv, stdin=nest(MAX_DEPTH).encode())
     assert done.returncode == 0, done.stderr
     assert done.stderr == b""
     if output == "ast":
-        ctor = "ListLit" if shape == "brackets" else "Call"
+        ctor = {"brackets": "ListLit", "applications": "Call", "ifs": "If"}[shape]
         assert done.stdout.count(f'"ctor": "{ctor}"'.encode()) == MAX_DEPTH
-    elif shape == "brackets":
+    elif shape in ("brackets", "ifs"):
         assert done.stdout.decode() == nest(MAX_DEPTH) + "\n"
     else:
         inner = MAX_DEPTH - 1
@@ -517,6 +518,7 @@ SOURCES = hst.one_of(
     hst.integers(0, 2**32 - 1).map(lambda n: letlang.pretty(random_program(random.Random(n), 3))),
     mexps.map(smells.pretty_m),
     hst.sampled_from(CYCLIC_SOURCES),
+    hst.builds(lambda shape, size: shape(size), hst.sampled_from(SHAPES), hst.integers(1, 40)),
 )
 TOKENS = ["let", "in", "=", "+", "-", "(", ")", "[", "]", ",", "if", "then", "else", "==",
           "++", ":", "True", "a", "xs", "f", "1", "\n", "\n  ", " ", "@"]
@@ -569,12 +571,20 @@ def run_in_process(argv, data):
     return code, out.getvalue(), err.getvalue()
 
 
+def every_shape(test):
+    """``test`` with each shape of ``SHAPES`` at size 40 as an explicit example."""
+    for shape in SHAPES:
+        test = example(shape(40), [], None, 0, 12)(test)
+    return test
+
+
 @seed(2021)
 # No explain phase: it re-runs failing examples under a line tracer, which at
 # fourteen commands an example takes minutes.
 @settings(max_examples=150, deadline=None,
           phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
 @given(SOURCES, EDITS, BAD_BYTES, hst.integers(0, 10**6), hst.integers(1, 12))
+@every_shape
 def test_every_command_keeps_the_exit_code_contract(source, edits, bad, at, fuel):
     # A small budget ends a cyclic program's runaway while its tree is still shallow.
     data = mutated(source, edits, bad, at)

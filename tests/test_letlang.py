@@ -1033,15 +1033,17 @@ def test_semantics_preserved_on_wellscoped_acyclic():
         assert errors_ag(root_zipper(root)) == []
         before = eval_program(root)
         assert before is not None
-        out = from_zipper(optimize_program(root_zipper(root), fuel=200_000))
-        assert eval_program(out) == before
+        for name in SCHEMES:
+            out = from_zipper(optimize_program(root_zipper(root), 200_000, name))
+            assert eval_program(out) == before, name
         checked += 1
 
 
 def test_inlining_can_capture_under_shadowing():
     # Known limitation of the naive inline rule: a use whose normal form still
     # mentions a nested-let-bound name changes meaning when copied under a
-    # shadowing re-declaration of that name.  Fresh-name programs avoid this.
+    # shadowing re-declaration of that name, under every scheme.  Fresh-name
+    # programs avoid this.
     src = (
         "let n = let u = 1 in u\n"
         "  x = n\n"
@@ -1052,5 +1054,6 @@ def test_inlining_can_capture_under_shadowing():
     root = parse(src)
     assert errors_ag(root_zipper(root)) == []
     assert eval_program(root) == 1
-    out = from_zipper(optimize_program(root_zipper(root), fuel=10_000))
-    assert eval_program(out) == 2
+    for name in SCHEMES:
+        out = from_zipper(optimize_program(root_zipper(root), 10_000, name))
+        assert eval_program(out) == 2, name

@@ -578,21 +578,27 @@ def test_only_the_meter_charges_the_budget():
 
 def test_a_budget_enters_only_through_scheme():
     # One door: each run of a scheme builds the one meter, and the combinators
-    # it drives take no budget of their own.
-    trees = [ast.parse(path.read_text(encoding="utf-8"))
-             for path in Path(strategies.__file__).parent.glob("*.py")]
-    metering = [
-        top.name
-        for tree in trees
-        for top in tree.body
-        for node in ast.walk(top)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "_metered"
-    ]
-    assert metering == ["scheme"]
-    functions = {top.name: top for tree in trees for top in tree.body
-                 if isinstance(top, ast.FunctionDef)}
+    # it drives take no budget of their own.  A let rewrite run is assembled
+    # only by ``letlang.optimize_program``, which builds a rule step per run;
+    # the CLI and the scripts assemble none.
+    paths = [*Path(strategies.__file__).parent.glob("*.py"),
+             *(Path(__file__).resolve().parents[1] / "scripts").glob("*.py")]
+    callers, functions = {}, {}  # callee -> [(path, caller)]; function name -> definition
+    for path in paths:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            if isinstance(top, ast.FunctionDef):
+                functions[top.name] = top
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    callers.setdefault(callee, []).append((path, where))
+    assert [where for _, where in callers["_metered"]] == ["strategies.scheme"]
+    assert sorted(where for _, where in callers["scheme"]) == [
+        "letlang.optimize_program", "smells.smell_elim"]
+    assert [where for _, where in callers["program_step"]] == ["letlang.optimize_program"]
+    assert not [where for name in ("scheme", "apply_tp") for path, where in callers[name]
+                if path.stem == "cli" or path.parent.name == "scripts"]
     for name in ("repeat_tp", "innermost", "outermost"):
         args = functions[name].args
         assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["s"], name
