@@ -123,6 +123,8 @@ def root_zipper(root: Root) -> Zipper:
 
 _SYMBOLS = ("+", "-", "=", ";", "(", ")")
 _KEYWORDS = frozenset({"let", "in"})
+#: What the expression parser counts toward ``MAX_DEPTH``, as its depth error names it.
+_NESTS = "parentheses and operators"
 
 
 def parse(text: str) -> Root:
@@ -206,7 +208,7 @@ def _parse_exp(p: TokenStream) -> Exp:
                 e = Const(-p.integer())
             else:
                 if len(stack) == MAX_DEPTH:
-                    p.too_deep(tok)
+                    p.too_deep(tok, _NESTS)
                 stack.append(_NEG if tok.text == "-" else _OPEN)
                 continue
         else:
@@ -221,7 +223,7 @@ def _parse_exp(p: TokenStream) -> Exp:
             tok = p.peek()
             if tok.kind == "op" and (tok.text == "+" or tok.text == "-"):
                 if len(stack) == MAX_DEPTH:
-                    p.too_deep(tok)
+                    p.too_deep(tok, _NESTS)
                 p.advance()
                 stack.append((e, tok.text))
                 break

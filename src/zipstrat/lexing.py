@@ -135,7 +135,8 @@ class TokenStream:
     def fail(self, message: str) -> NoReturn:
         raise _error(self._text, self.peek().pos, message)
 
-    def too_deep(self, tok: Token) -> NoReturn:
-        """Raise the :class:`DepthError` of a parser that would hold more than :data:`MAX_DEPTH`."""
-        message = f"more than {MAX_DEPTH} nested parentheses and operators"
+    def too_deep(self, tok: Token, what: str) -> NoReturn:
+        """Raise the :class:`DepthError` of a parser that would hold more than
+        :data:`MAX_DEPTH` nested ``what`` (the parser's words for its entries)."""
+        message = f"more than {MAX_DEPTH} nested {what}"
         raise _error(self._text, tok.pos, message, DepthError)

@@ -98,6 +98,8 @@ def mexp_zipper(e: MExp) -> Zipper:
 
 _SYMBOLS = (*_INFIX, ",", "[", "]", "(", ")")
 _KEYWORDS = frozenset({"if", "then", "else", "True", "False"})
+#: What the parser counts toward ``MAX_DEPTH``, as its depth error names it.
+_NESTS = "brackets, applications and ifs"
 
 
 def parse_m(text: str) -> MExp:
@@ -116,7 +118,7 @@ def _parse_exp(p: TokenStream, power: int = 0) -> MExp:
         tok = p.advance()
         p.parens += 1  # open up to its else-branch; else-if chains, like ":" chains, go uncounted
         if p.parens > MAX_DEPTH:
-            p.too_deep(tok)
+            p.too_deep(tok, _NESTS)
         cond = _parse_exp(p)
         p.expect("keyword", "then")
         then = _parse_exp(p)
@@ -160,7 +162,7 @@ def _parse_atom(p: TokenStream) -> MExp:
         tok = p.advance()
         p.parens += 1  # open brackets of either kind; no newline token lexes here
         if p.parens > MAX_DEPTH:
-            p.too_deep(tok)
+            p.too_deep(tok, _NESTS)
         if tok.text == "(":
             e = _parse_exp(p)
             p.expect("op", ")")

@@ -15,15 +15,16 @@ that moves a zipper.  It walks the subtree under the focus in an order (``td``
 visits a node before its children, ``bu`` after; children go left to right)
 under a policy for what a success does: ``full`` carries on, ``stop`` prunes
 (in ``td`` the node's descendants, in ``bu`` every node above it), ``once``
-ends the walk and ``again`` normalizes the new node's children and retries.
-Each traversal is one kernel call; a TU traversal combines its successes in
-visit order, neighbour with neighbour in a balanced tree.  ``innermost`` is
-the ``bu`` walk under ``again``; ``outermost`` iterates a one-shot top-down
-search to a fixed point.  :func:`scheme` builds the four whole-tree schemes of
-:data:`SCHEMES`, and a rewrite budget ("fuel", :data:`DEFAULT_FUEL` by default)
-enters there alone: each run meters its rule step once (``_metered``), so
-divergent rule sets fail loudly, the kernel only walks, and ``repeat_tp``,
-``innermost`` and ``outermost`` take none.
+ends the walk and ``again`` normalizes the new node's children, except those
+it kept from the old node, and retries.  Each traversal is one kernel call; a
+TU traversal combines its successes in visit order, neighbour with neighbour
+in a balanced tree.  ``innermost`` is the ``bu`` walk under ``again``;
+``outermost`` iterates a one-shot top-down search to a fixed point.
+:func:`scheme` builds the four whole-tree schemes of :data:`SCHEMES`, and a
+rewrite budget ("fuel", :data:`DEFAULT_FUEL` by default) enters there alone:
+each run meters its rule step once (``_metered``), so divergent rule sets fail
+loudly, the kernel only walks, and ``repeat_tp``, ``innermost`` and
+``outermost`` take none.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import wraps
 from typing import Any, Callable, Optional, TypeVar
 
-from .zipper import Zipper
+from .zipper import _LEAF_TYPES, Zipper
 
 D = TypeVar("D")
 T = TypeVar("T")
@@ -285,7 +286,9 @@ def _tp(s: TP, order: str, policy: str) -> TP:
 
     A subtree where nothing succeeded yields ``None`` (under ``again``, the
     zipper it came as), and a child that came back as the same zipper is not
-    put back into its parent, so neither is rebuilt.
+    put back into its parent, so neither is rebuilt.  Under ``again``, a child
+    of the new node that is, by identity, a non-leaf child or grandchild of
+    the node ``s`` rewrote is handed back unvisited.
     """
 
     def go(z: Zipper) -> Zipper | None:
@@ -295,11 +298,22 @@ def _tp(s: TP, order: str, policy: str) -> TP:
                 return r
             z = r
         here = r is not None
+        old = kept = None  # under ``again``: the node ``s`` last rewrote, held so no id is reused
         while True:
             below = moved = False
             c = z.down_left()
             while c is not None:
-                r = go(c)
+                if old is not None and type(c.focus) not in _LEAF_TYPES:
+                    if kept is None:  # built at the first non-leaf child, never for leaves
+                        kept = set()
+                        for k in z.lang.children(old):
+                            if type(k) not in _LEAF_TYPES:
+                                kept.add(id(k))
+                                kept.update(map(id, z.lang.children(k)))
+                    # A child or grandchild of ``old`` was a normal form before the rewrite.
+                    r = None if id(c.focus) in kept else go(c)
+                else:
+                    r = go(c)
                 if r is not None:
                     below = True
                     if r is not c:
@@ -318,8 +332,8 @@ def _tp(s: TP, order: str, policy: str) -> TP:
                 break
             if policy != "again":
                 return r
-            # Normalize the new node's children, then try ``s`` there again.
-            z, here = r, True
+            # Normalize the new node's children, except those it kept; try ``s`` there again.
+            old, kept, z, here = z.focus, None, r, True
         return z if here or below or policy == "again" else None
 
     return go
@@ -440,12 +454,16 @@ def innermost(s: TP) -> TP:
     ``innermost(s) = bottomup(try(s; innermost(s)))``: a node's children are
     normalized left to right, then ``s`` is tried at the node; after a
     success the new node's children are normalized and ``s`` tried again,
-    in a loop rather than a recursion.  So a rewrite re-normalizes only the
-    subtree it produced, and a subtree where nothing rewrote is handed back
-    as it came.  While a rewrite never turns a node before it in postorder
-    into a redex, this makes the same rewrites as
-    ``repeat_tp(once_bu_tp(s))``.  A step that always succeeds loops
-    forever; :func:`scheme` bounds the rewrites of a run.
+    in a loop rather than a recursion.  A child that is, by identity, a
+    non-leaf child or grandchild of the rewritten node is not walked again.
+    So a rewrite re-normalizes only the subtree it produced, and a subtree
+    where nothing rewrote is handed back as it came.  While a rewrite never
+    turns a node before it in postorder into a redex, and a subtree that the
+    rule keeps is still a normal form at its new place, this makes the same
+    rewrites as ``repeat_tp(once_bu_tp(s))``.  The second holds when a
+    node's redex status depends only on its subtree and the names in scope,
+    and no rule moves a kept subtree across a binder.  A step that always
+    succeeds loops forever; :func:`scheme` bounds the rewrites of a run.
     """
     return _tp(s, "bu", "again")
 

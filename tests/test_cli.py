@@ -370,7 +370,7 @@ def test_the_smell_nesting_limit_holds_to_the_level(shape, output):
     assert done.stdout == b""
     assert done.stderr.decode() == (
         f"input nested too deeply: 1:{source.rindex(opener) + 1}:"
-        f" more than {MAX_DEPTH} nested parentheses and operators\n"
+        f" more than {MAX_DEPTH} nested brackets, applications and ifs\n"
     )
 
 

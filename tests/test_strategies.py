@@ -37,7 +37,14 @@ from oracles import (
     redexes,
     typed_rule,
 )
-from programs import ERRORS_ROOT, RUNNING, RUNNING_ARITH_NF, RUNNING_ROOT, rev_source
+from programs import (
+    ERRORS_ROOT,
+    RUNNING,
+    RUNNING_ARITH_NF,
+    RUNNING_ROOT,
+    rev_source,
+    sub_chain_source,
+)
 from zipstrat import letlang, smells, strategies
 from zipstrat.letlang import (
     LANG,
@@ -868,6 +875,44 @@ def test_innermost_renormalizes_only_what_a_rewrite_produced():
     assert out.focus == smells.ListLit(
         tuple(smells.Infix(":", smells.Var(f"x{i}"), smells.Var("ys")) for i in range(n))
     )
+
+
+def test_innermost_does_not_rewalk_what_a_rewrite_kept(monkeypatch):
+    # Each ``x - 1`` becomes ``x + -1`` and keeps the chain to its left; a
+    # walk that re-normalized it would make quadratically many step calls.
+    calls = []
+
+    def counted_step():
+        step = program_step()
+
+        def counting(z):
+            calls.append(None)
+            return step(z)
+
+        return counting
+
+    monkeypatch.setattr(letlang, "program_step", counted_step)
+    counts, limit = [], sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 10_000))  # the chain is as deep as it is long
+    try:
+        for n in (250, 500, 1000):
+            calls.clear()
+            letlang.optimize_program(root_zipper(parse(sub_chain_source(n))))
+            counts.append(len(calls))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert all(big <= 2.2 * small for small, big in zip(counts, counts[1:])), counts
+
+
+@pytest.mark.parametrize("root", [RUNNING_ROOT, parse(rev_source(8))], ids=["running", "rev-8"])
+def test_innermost_skips_kept_subtrees_without_changing_a_step(root):
+    # In ``rev n`` an inlined definition sits at two places and is reached
+    # before it is normalized: there identity could mislead the skip.
+    z = root_zipper(root)
+    expected, expected_hits = outcome(restarting, program_step(), z, strategies.DEFAULT_FUEL)
+    got, hits = outcome(innermost, program_step(), z, strategies.DEFAULT_FUEL)
+    assert got == expected
+    assert hits == expected_hits
 
 
 def test_outermost_agrees_on_confluent_rules():

@@ -22,13 +22,18 @@ COMMANDS = (
 
 #: The five counters that the rule attempts' meaning rests on, with each
 #: command's counts when it runs alone; a counter left out is 0.
+#: ``innermost`` does not visit again what a rewrite kept.  In ``let opt``,
+#: the body becomes ``1 - 0`` once ``b`` is inlined, then ``1 + -0``, which
+#: keeps the ``1``: the constant and its leaf are two visits fewer, and its two
+#: rules two attempts.  In ``smell fix`` both rewrites keep ``xs``: twice two
+#: visits and four attempts fewer.
 PINNED_KEYS = ("smells.rule.attempts", "letlang.rule.attempts", "strategies.visits",
                "smells.rewrites", "letlang.rewrites")
 PINNED = (
-    {"letlang.rule.attempts": 28, "strategies.visits": 35, "letlang.rewrites": 6},
+    {"letlang.rule.attempts": 26, "strategies.visits": 33, "letlang.rewrites": 6},
     {"strategies.visits": 28},
     {},
-    {"smells.rule.attempts": 40, "strategies.visits": 21, "smells.rewrites": 2},
+    {"smells.rule.attempts": 32, "strategies.visits": 17, "smells.rewrites": 2},
 )
 
 
