@@ -8,11 +8,13 @@ Subcommands::
     zipstrat let pretty     reprint in canonical layout
     zipstrat smell fix      rewrite a mini-language expression smell-free
 
+One function, :func:`_run_command`, reads and parses the input, hands the tree to
+the subcommand's handler (one library call each) and prints what it returns.
 Input, from a file or standard input, must be UTF-8.  Exit codes: 0 success,
 1 syntax error, unreadable input or output that cannot be written (a closed
-pipe, or text the output encoding cannot represent), 2 scope errors, 3 rewrite
-budget exhausted, 4 input nested too deeply (a let expression past
-``lexing.MAX_DEPTH`` pending parentheses and operators, reported with its
+pipe or standard stream, or text the output encoding cannot represent), 2 scope
+errors, 3 rewrite budget exhausted, 4 input nested too deeply (a let expression
+past ``lexing.MAX_DEPTH`` pending parentheses and operators, reported with its
 line:col, or any tree past the Python stack), 5 usage error (a bad option or
 argument), 6 out of memory.
 Diagnostics go to standard error, one line each (see :func:`run`, which the demo uses too).
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Callable
+from typing import Callable
 
 from . import letlang, smells
 from .lexing import MAX_DEPTH, DepthError, ParseError
@@ -60,6 +62,8 @@ def _read_input(path: str) -> str:
         # Decode the bytes strictly, as for a file: stdin's text layer may escape
         # undecodable bytes, by locale.  A text stream put in its place is read as is.
         stdin = sys.stdin
+        if stdin is None:
+            raise OSError("cannot read input: standard input is closed")
         return stdin.buffer.read().decode("utf-8") if hasattr(stdin, "buffer") else stdin.read()
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
@@ -82,21 +86,22 @@ def build_parser() -> argparse.ArgumentParser:
         "--output": dict(choices=["text", "ast"], default="text",
                          help="print concrete syntax or the structured AST (default: text)"),
     }
-    # Built per call, so a handler patched on the module is the one that runs.
+    # Built per call, so a function patched on its module is the one that runs.
     table = [
-        ("let", "operate on let programs", [
+        ("let", "operate on let programs", (letlang.parse, letlang.LANG, letlang.pretty), [
             ("names", "list declared names in source order", _cmd_let_names, []),
             ("check", "report scope errors", _cmd_let_check, []),
             ("opt", "optimize a program", _cmd_let_opt, ["--strategy", "--fuel", "--output"]),
             ("pretty", "reprint in canonical layout", _cmd_let_pretty, ["--output"]),
         ]),
-        ("smell", "operate on mini-language expressions", [
+        ("smell", "operate on mini-language expressions",
+         (smells.parse_m, smells.LANG, smells.pretty_m), [
             ("fix", "rewrite an expression smell-free", _cmd_smell_fix, ["--fuel", "--output"]),
         ]),
     ]
     parser = _Parser(prog="zipstrat", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
-    for command, help_text, subcommands in table:
+    for command, help_text, language, subcommands in table:
         group = commands.add_parser(command, help=help_text)
         sub = group.add_subparsers(dest="subcommand", required=True)
         for name, help_text, handler, flags in subcommands:
@@ -106,50 +111,44 @@ def build_parser() -> argparse.ArgumentParser:
             )
             for flag in flags:
                 p.add_argument(flag, **options[flag])
-            p.set_defaults(handler=handler)
+            p.set_defaults(handler=handler, language=language)
     return parser
 
 
-def _emit_tree(args: argparse.Namespace, value: Any, lang, to_text) -> None:
-    if args.output == "ast":
-        print(export_json(value, lang))
-    else:
-        print(to_text(value))
+def _cmd_let_names(args: argparse.Namespace, root: letlang.Root) -> tuple[list[str], int]:
+    return letlang.names(letlang.root_zipper(root)), EXIT_OK
 
 
-def _cmd_let_names(args: argparse.Namespace) -> int:
-    root = letlang.parse(_read_input(args.input))
-    for name in letlang.names(letlang.root_zipper(root)):
-        print(name)
-    return EXIT_OK
-
-
-def _cmd_let_check(args: argparse.Namespace) -> int:
-    root = letlang.parse(_read_input(args.input))
+def _cmd_let_check(args: argparse.Namespace, root: letlang.Root) -> tuple[list[str], int]:
     errors = letlang.errors_strategic(letlang.root_zipper(root))
-    for name in errors:
-        print(name)
-    return EXIT_SCOPE if errors else EXIT_OK
+    return errors, EXIT_SCOPE if errors else EXIT_OK
 
 
-def _cmd_let_opt(args: argparse.Namespace) -> int:
-    root = letlang.parse(_read_input(args.input))
+def _cmd_let_opt(args: argparse.Namespace, root: letlang.Root) -> tuple[letlang.Root, int]:
     optimized = letlang.optimize_program(letlang.root_zipper(root), args.fuel, args.strategy)
-    _emit_tree(args, from_zipper(optimized), letlang.LANG, letlang.pretty)
-    return EXIT_OK
+    return from_zipper(optimized), EXIT_OK
 
 
-def _cmd_let_pretty(args: argparse.Namespace) -> int:
-    root = letlang.parse(_read_input(args.input))
-    _emit_tree(args, root, letlang.LANG, letlang.pretty)
-    return EXIT_OK
+def _cmd_let_pretty(args: argparse.Namespace, root: letlang.Root) -> tuple[letlang.Root, int]:
+    return root, EXIT_OK
 
 
-def _cmd_smell_fix(args: argparse.Namespace) -> int:
-    e = smells.parse_m(_read_input(args.input))
-    fixed = smells.eliminate_smells(e, args.fuel)
-    _emit_tree(args, fixed, smells.LANG, smells.pretty_m)
-    return EXIT_OK
+def _cmd_smell_fix(args: argparse.Namespace, e: smells.MExp) -> tuple[smells.MExp, int]:
+    return from_zipper(smells.smell_elim(smells.mexp_zipper(e), args.fuel)), EXIT_OK
+
+
+def _run_command(args: argparse.Namespace) -> int:
+    """Read ``--input``, parse it in the command's language, run the handler
+    on the tree, and print what it returns: lines, or a tree as text or AST."""
+    parse, lang, to_text = args.language
+    value, code = args.handler(args, parse(_read_input(args.input)))
+    lines = value if isinstance(value, list) else [
+        export_json(value, lang) if args.output == "ast" else to_text(value)]
+    if lines and sys.stdout is None:
+        raise OSError("cannot write output: standard output is closed")
+    for line in lines:
+        print(line)
+    return code
 
 
 def run(task: Callable[[], int]) -> int:
@@ -183,7 +182,7 @@ def run(task: Callable[[], int]) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return run(lambda: args.handler(args))
+    return run(lambda: _run_command(args))
 
 
 if __name__ == "__main__":

@@ -4,8 +4,8 @@ Four rewrite families remove the classic beginner patterns: building a
 singleton list just to concatenate it, checking emptiness against
 ``length``/``[]``, comparing against boolean literals, and branching on a
 condition only to return literals.  One fix can expose another (eliminating
-a redundant ``if`` may reveal an emptiness check), so the eliminator runs
-the rules to an innermost fixed point.
+a redundant ``if`` may reveal an emptiness check), so :func:`smell_elim`, the
+one door of a run, takes a zipper and runs the rules to an innermost fixed point.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .lexing import MAX_DEPTH, ParseError, TokenStream, describe, tokenize
 from .strategies import DEFAULT_FUEL, TP, adhoc_tp, apply_tp, fail_tp, scheme
-from .zipper import Language, Zipper, from_zipper, to_zipper
+from .zipper import Language, Zipper, to_zipper
 
 Name = str
 
@@ -277,11 +277,6 @@ def smell_elim(z: Zipper, fuel: int = DEFAULT_FUEL) -> Zipper | None:
     return apply_tp(scheme("innermost", smell_step(), fuel), z)
 
 
-def eliminate_smells(e: MExp, fuel: int = DEFAULT_FUEL) -> MExp:
-    """Convenience wrapper: rewrite an expression value to its smell-free form."""
-    return from_zipper(smell_elim(mexp_zipper(e), fuel))
-
-
 __all__ = [
     "BoolLit",
     "Call",
@@ -294,7 +289,6 @@ __all__ = [
     "Name",
     "ParseError",
     "Var",
-    "eliminate_smells",
     "join_list",
     "mexp_zipper",
     "null_list",

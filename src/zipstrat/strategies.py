@@ -286,9 +286,10 @@ def _tp(s: TP, order: str, policy: str) -> TP:
 
     A subtree where nothing succeeded yields ``None`` (under ``again``, the
     zipper it came as), and a child that came back as the same zipper is not
-    put back into its parent, so neither is rebuilt.  Under ``again``, a child
-    of the new node that is, by identity, a non-leaf child or grandchild of
-    the node ``s`` rewrote is handed back unvisited.
+    put back into its parent, so neither is rebuilt.  Under ``again``, the new
+    node, or a child of it, that is by identity a non-leaf child or grandchild
+    of the node ``s`` rewrote is handed back unvisited, and ``s`` is not retried
+    at a new node handed back so.
     """
 
     def go(z: Zipper) -> Zipper | None:
@@ -310,6 +311,8 @@ def _tp(s: TP, order: str, policy: str) -> TP:
                             if type(k) not in _LEAF_TYPES:
                                 kept.add(id(k))
                                 kept.update(map(id, z.lang.children(k)))
+                        if id(z.focus) in kept:  # ``s`` handed back a normal form whole
+                            return z
                     # A child or grandchild of ``old`` was a normal form before the rewrite.
                     r = None if id(c.focus) in kept else go(c)
                 else:
@@ -455,7 +458,8 @@ def innermost(s: TP) -> TP:
     normalized left to right, then ``s`` is tried at the node; after a
     success the new node's children are normalized and ``s`` tried again,
     in a loop rather than a recursion.  A child that is, by identity, a
-    non-leaf child or grandchild of the rewritten node is not walked again.
+    non-leaf child or grandchild of the rewritten node is not walked again,
+    and a new node that is one (``- - e`` to ``e``) is handed back whole.
     So a rewrite re-normalizes only the subtree it produced, and a subtree
     where nothing rewrote is handed back as it came.  While a rewrite never
     turns a node before it in postorder into a redex, and a subtree that the

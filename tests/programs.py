@@ -139,6 +139,11 @@ def sub_chain_source(n: int) -> str:
     return "let y = let z = 1\n  in z\nin y" + " - 1" * n
 
 
+def neg_chain_source(n: int) -> str:
+    """``let a = - - (… - - (x - 1) - 1 …) - 1) in a``, with n levels."""
+    return "let a = " + "- - (" * n + "x" + " - 1)" * n + " in a"
+
+
 def parens_source(depth: int) -> str:
     """A constant inside ``depth`` nested parentheses."""
     return f"let a = {'(' * depth}1{')' * depth}\nin a"

@@ -171,7 +171,7 @@ def test_let_opt_full_td_obeys_the_fuel(capsys, source_file):
 
 
 def test_out_of_memory_exits_6_in_one_line(capsys, monkeypatch, source_file):
-    def exhausted(args):
+    def exhausted(args, root):
         raise MemoryError
 
     monkeypatch.setattr(cli, "_cmd_let_pretty", exhausted)
@@ -298,6 +298,32 @@ def test_invalid_utf8_on_stdin_reports_error(capsys, tmp_path):
     assert done.stdout == b""
     assert done.stderr.decode() == from_file
     assert "can't decode" in from_file
+
+
+def test_closed_stdin_exits_1_in_one_line(capsys, monkeypatch):
+    # Python sets ``sys.stdin`` to None when it starts with descriptor 0 closed.
+    monkeypatch.setattr(sys, "stdin", None)
+    code, out, err = run(capsys, ["let", "names"])
+    assert code == cli.EXIT_SYNTAX == 1
+    assert out == ""
+    assert err == "cannot read input: standard input is closed\n"
+
+
+@pytest.mark.parametrize("argv, source, code", [
+    (["let", "names"], "let a = 1 in a", 1),
+    (["let", "check"], "let a = b in a", 1),
+    (["smell", "fix", "--output", "ast"], "x == True", 1),
+    (["let", "check"], "let a = 1 in a", 0),
+], ids=["names", "check-errors", "smell-ast", "check-clean"])
+def test_closed_stdout_exits_1_in_one_line(capsys, monkeypatch, source_file, argv, source, code):
+    # Python sets ``sys.stdout`` to None when it starts with descriptor 1 closed;
+    # output that would be lost is an error, and no output loses nothing.
+    path = source_file(source)
+    monkeypatch.setattr(sys, "stdout", None)
+    got = main([*argv, "--input", path])
+    err = capsys.readouterr().err
+    assert got == code
+    assert err == ("cannot write output: standard output is closed\n" if code else "")
 
 
 def test_output_the_encoding_cannot_represent_exits_1_without_traceback():
@@ -489,9 +515,30 @@ def test_one_function_ends_every_run_and_one_default_bounds_every_budget():
                 for node in ast.walk(functions["strategies._metered"])
                 if isinstance(node, ast.Compare)]
     assert not [sides for sides in compared if {"fuel", "None"} <= sides]
-    for fn in (strategies.scheme, letlang.optimize_program, smells.smell_elim,
-               smells.eliminate_smells):
+    for fn in (strategies.scheme, letlang.optimize_program, smells.smell_elim):
         assert inspect.signature(fn).parameters["fuel"].default is strategies.DEFAULT_FUEL, fn
+
+
+def test_one_function_reads_parses_and_prints():
+    # ``cli`` names each parser once and reads, converts to AST text and prints
+    # to stdout in one function; a handler is a library call on the tree.
+    doors = {"_read_input": set(), "letlang.parse": set(), "smells.parse_m": set(),
+             "export_json": set(), "print to stdout": set()}
+    cli_tree = ast.parse((ROOT / "src" / "zipstrat" / "cli.py").read_text(encoding="utf-8"))
+    for top in cli_tree.body:
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "print" \
+                    and not any(k.arg == "file" for k in node.keywords):
+                doors["print to stdout"].add(where)
+            elif isinstance(node, (ast.Name, ast.Attribute)) and ast.unparse(node) in doors:
+                doors[ast.unparse(node)].add(where)
+    for door, users in doors.items():
+        assert len(users) == 1 and not any(u.startswith("_cmd_") for u in users), (door, users)
+    smells_tree = ast.parse((ROOT / "src" / "zipstrat" / "smells.py").read_text(encoding="utf-8"))
+    assert not [n for n in ast.walk(smells_tree) if isinstance(n, ast.Name)
+                and n.id == "from_zipper"]
+    assert not hasattr(smells, "eliminate_smells") and not hasattr(cli, "_emit_tree")
 
 
 @pytest.mark.parametrize("output", ["text", "ast"])
@@ -603,7 +650,7 @@ def test_every_command_keeps_the_exit_code_contract(source, edits, bad, at, fuel
         if command == "smell fix":
             fixed = (smells.parse_m(out) if argv[-1] == "text"
                      else import_json(out, smells.LANG))
-            assert smells.eliminate_smells(fixed) == fixed, argv
+            assert smells.smell_elim(smells.mexp_zipper(fixed)).focus == fixed, argv
             continue
         root = letlang.parse(data.decode())
         if command == "let names":

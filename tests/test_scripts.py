@@ -1,8 +1,10 @@
 """Every script, and the README's library example, runs to completion with only
-the library on the import path."""
+the library on the import path; every module parses as the oldest Python that
+``pyproject.toml`` allows."""
 
 from __future__ import annotations
 
+import ast
 import os
 import re
 import subprocess
@@ -81,3 +83,12 @@ def test_readme_library_example_prints_what_its_comment_says(tmp_path):
     done = run_script(example, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [expected] == ["Leaf(value=6)"]
+
+
+def test_every_module_parses_as_the_declared_python_floor():
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    major, minor = map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)', pyproject).groups())
+    modules = [*(ROOT / "src" / "zipstrat").glob("*.py"), *SCRIPTS]
+    assert len(modules) > 5
+    for path in modules:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(major, minor))

@@ -20,7 +20,6 @@ from zipstrat.smells import (
     MExp,
     ParseError,
     Var,
-    eliminate_smells,
     join_list,
     mexp_zipper,
     null_list,
@@ -31,8 +30,13 @@ from zipstrat.smells import (
     smell_elim,
     smell_step,
 )
-from zipstrat.strategies import apply_tp
+from zipstrat.strategies import DEFAULT_FUEL, apply_tp
 from zipstrat.zipper import from_zipper
+
+
+def smell_free(e: MExp, fuel: int = DEFAULT_FUEL) -> MExp:
+    """The smell-free form of an expression value, as ``smell fix`` computes it."""
+    return from_zipper(smell_elim(mexp_zipper(e), fuel))
 
 
 def node_count(e: MExp) -> int:
@@ -198,18 +202,18 @@ def test_each_rule_strictly_shrinks():
     "before,after", JOIN_CASES + NULL_CASES + BOOL_CASES + IF_CASES
 )
 def test_single_smell_eliminated(before, after):
-    assert eliminate_smells(parse_m(before)) == parse_m(after)
+    assert smell_free(parse_m(before)) == parse_m(after)
 
 
 def test_cascade_if_then_null():
     # eliminating the redundant if exposes the emptiness check
-    assert eliminate_smells(parse_m("if (xs == []) then True else False")) == parse_m(
+    assert smell_free(parse_m("if (xs == []) then True else False")) == parse_m(
         "null xs"
     )
 
 
 def test_cascade_nested_joins():
-    assert eliminate_smells(parse_m("[a] ++ ([b] ++ bs)")) == parse_m("a : (b : bs)")
+    assert smell_free(parse_m("[a] ++ ([b] ++ bs)")) == parse_m("a : (b : bs)")
 
 
 def test_cascade_matches_oracle():
@@ -220,13 +224,13 @@ def test_cascade_matches_oracle():
         "(if b then True else False) == True",
     ):
         e = parse_m(text)
-        assert eliminate_smells(e) == normalize_anywhere(
+        assert smell_free(e) == normalize_anywhere(
             e, typed_rule(MExp, _rule_union), LANG
         )
 
 
 def test_no_redex_unchanged():
-    assert eliminate_smells(parse_m("y : ys")) == parse_m("y : ys")
+    assert smell_free(parse_m("y : ys")) == parse_m("y : ys")
 
 
 def test_smell_elim_zipper_form_always_succeeds():
@@ -246,9 +250,9 @@ def test_elimination_idempotent_and_complete():
     rng = random.Random(87)
     for _ in range(250):
         e = random_mexp(rng, rng.randint(0, 6))
-        fixed = eliminate_smells(e)
+        fixed = smell_free(e)
         assert smelly_subterms(fixed) == []
-        assert eliminate_smells(fixed) == fixed
+        assert smell_free(fixed) == fixed
 
 
 def test_rewrite_count_bounded_by_size():
@@ -258,13 +262,13 @@ def test_rewrite_count_bounded_by_size():
         e = random_mexp(rng, rng.randint(0, 5))
         budget = 2 * node_count(e)
         # every rule strictly shrinks the term, so the budget is never hit
-        fixed = eliminate_smells(e, fuel=budget)
+        fixed = smell_free(e, fuel=budget)
         assert node_count(fixed) <= node_count(e)
         assert normalize_anywhere(e, rule, LANG, max_steps=budget + 1) == fixed
 
 
 @given(mexps)
 def test_elimination_idempotent_generated(e):
-    fixed = eliminate_smells(e)
-    assert eliminate_smells(fixed) == fixed
+    fixed = smell_free(e)
+    assert smell_free(fixed) == fixed
     assert smelly_subterms(fixed) == []

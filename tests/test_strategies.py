@@ -42,6 +42,7 @@ from programs import (
     RUNNING,
     RUNNING_ARITH_NF,
     RUNNING_ROOT,
+    neg_chain_source,
     rev_source,
     sub_chain_source,
 )
@@ -877,9 +878,8 @@ def test_innermost_renormalizes_only_what_a_rewrite_produced():
     )
 
 
-def test_innermost_does_not_rewalk_what_a_rewrite_kept(monkeypatch):
-    # Each ``x - 1`` becomes ``x + -1`` and keeps the chain to its left; a
-    # walk that re-normalized it would make quadratically many step calls.
+def optimize_step_calls(monkeypatch, source, sizes):
+    """The rule-step calls of ``optimize_program`` on ``source(n)`` for each size."""
     calls = []
 
     def counted_step():
@@ -895,12 +895,26 @@ def test_innermost_does_not_rewalk_what_a_rewrite_kept(monkeypatch):
     counts, limit = [], sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 10_000))  # the chain is as deep as it is long
     try:
-        for n in (250, 500, 1000):
+        for n in sizes:
             calls.clear()
-            letlang.optimize_program(root_zipper(parse(sub_chain_source(n))))
+            letlang.optimize_program(root_zipper(parse(source(n))))
             counts.append(len(calls))
     finally:
         sys.setrecursionlimit(limit)
+    return counts
+
+
+def test_innermost_does_not_rewalk_what_a_rewrite_kept(monkeypatch):
+    # Each ``x - 1`` becomes ``x + -1`` and keeps the chain to its left; a
+    # walk that re-normalized it would make quadratically many step calls.
+    counts = optimize_step_calls(monkeypatch, sub_chain_source, (250, 500, 1000))
+    assert all(big <= 2.2 * small for small, big in zip(counts, counts[1:])), counts
+
+
+def test_innermost_hands_back_a_kept_node_whole(monkeypatch):
+    # ``- - e`` becomes ``e``, a grandchild that was a normal form already; a
+    # walk that re-normalized it would make quadratically many step calls.
+    counts = optimize_step_calls(monkeypatch, neg_chain_source, (100, 200, 400))
     assert all(big <= 2.2 * small for small, big in zip(counts, counts[1:])), counts
 
 
