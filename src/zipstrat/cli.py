@@ -31,10 +31,9 @@ from .lexing import MAX_DEPTH, DepthError, ParseError
 from .strategies import DEFAULT_FUEL, SCHEMES, FuelExhaustedError
 from .zipper import export_json, from_zipper
 
-#: The recursion limit :func:`run` sets while its task runs.  The smell parser
-#: (three frames per bracket), traversals, printers and ``json.dumps`` (two
-#: levels per node) recurse along the tree; this leaves room for an expression
-#: at the parsers' nesting limit, and for the frames of the CLI and its caller.
+#: The recursion limit :func:`run` sets while its task runs.  The smell parser (three
+#: frames per bracket), traversals and printers recurse along the tree; this leaves
+#: room for an expression at the parsers' nesting limit and for the CLI and its caller.
 RECURSION_LIMIT = 3 * MAX_DEPTH + 1_000
 
 EXIT_OK = 0

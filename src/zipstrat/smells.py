@@ -193,7 +193,7 @@ def pretty_m(e: MExp, prec: int = 0) -> str:
         case BoolLit(value):
             return "True" if value else "False"
         case ListLit(items):
-            return "[" + ", ".join(pretty_m(i, _IF_PREC) for i in items) + "]"
+            return "[" + ", ".join([pretty_m(i, _IF_PREC) for i in items]) + "]"
         case Call(fn, arg):
             s = f"{fn} {pretty_m(arg, _ATOM_PREC)}"
             return f"({s})" if prec > _APP_PREC else s

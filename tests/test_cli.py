@@ -20,11 +20,12 @@ from hypothesis import Phase, example, given, seed, settings
 from hypothesis import strategies as hst
 
 from generators import let_programs, mexps, random_program
-from programs import ERRORS_SOURCE, RUNNING_SOURCE, SHAPES, brackets_source, rev_source
+from programs import (ERRORS_SOURCE, RUNNING_SOURCE, SHAPES, brackets_source, flat_source,
+                      minus_source, rev_source)
 from zipstrat import cli, letlang, smells, strategies
 from zipstrat.cli import main
 from zipstrat.lexing import MAX_DEPTH
-from zipstrat.zipper import export_ast, import_json
+from zipstrat.zipper import export_ast, export_json, import_json
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -282,10 +283,11 @@ def test_invalid_utf8_reports_error(capsys, tmp_path):
     assert len(err.strip().splitlines()) == 1
 
 
-def run_process(argv, stdin: bytes, **env_vars: str) -> subprocess.CompletedProcess:
+def run_process(argv, stdin: bytes, *, python: str = sys.executable,
+                **env_vars: str) -> subprocess.CompletedProcess:
     # Under the C locale, Python's own stdin escapes undecodable bytes.
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "LC_ALL": "C", **env_vars}
-    return subprocess.run([sys.executable, "-m", "zipstrat.cli", *argv], input=stdin,
+    return subprocess.run([python, "-m", "zipstrat.cli", *argv], input=stdin,
                           capture_output=True, env=env, timeout=300)
 
 
@@ -401,9 +403,9 @@ def test_the_smell_nesting_limit_holds_to_the_level(shape, output):
 
 
 def test_the_nesting_limit_holds_to_the_level():
-    # At the limit the program prints, as text and as an AST (whose JSON encoder
-    # recurses twice per node); one level past it, the opening parenthesis or
-    # the unary minus that would go too deep is named.
+    # At the limit the program prints, as text and as an AST; one level past
+    # it, the opening parenthesis or the unary minus that would go too deep is
+    # named.
     def nested(depth):
         return f"let b = 2\n  a = {'(' * depth}1{')' * depth}\nin a"
 
@@ -427,6 +429,58 @@ def test_the_nesting_limit_holds_to_the_level():
             f"input nested too deeply: {where}:"
             f" more than {MAX_DEPTH} nested parentheses and operators\n"
         )
+
+
+def test_let_pretty_writes_a_long_flat_block_as_an_ast():
+    # The JSON writer keeps its own stack: a block as long as the other let
+    # commands take prints as an AST too.
+    source = flat_source(28_000)
+    done = run_process(["let", "pretty", "--output", "ast"], stdin=source.encode())
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.decode() == export_json(letlang.parse(source), letlang.LANG) + "\n"
+    assert done.stdout.count(b'"ctor": "Assign"') == 28_000
+
+
+PYENV = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+
+
+def cpythons() -> dict[str, list[Path]]:
+    """The interpreters at ``$PYENV_ROOT/versions/3.*/bin/python`` from the declared
+    floor, 3.10.7, up, by minor version; every minor from 3.10 to 3.13 is a key."""
+    found: dict[str, list[Path]] = {f"3.{minor}": [] for minor in range(10, 14)}
+    for python in sorted(PYENV.glob("versions/3.*/bin/python")):
+        version = re.fullmatch(r"3\.(\d+)\.(\d+)", python.parent.parent.name)
+        if version and (int(version[1]), int(version[2])) >= (10, 7):
+            found.setdefault(f"3.{version[1]}", []).append(python)
+    return found
+
+
+CPYTHONS = cpythons()
+
+
+@pytest.mark.parametrize("minor", CPYTHONS)
+def test_the_ast_output_holds_on_every_interpreter(minor):
+    # The JSON writer recurses on no interpreter: at the nesting limit and on a
+    # long flat block ``--output ast`` prints, and one level past the limit the
+    # minus is named, under every CPython the package supports.
+    if not CPYTHONS[minor]:
+        pytest.skip(f"no CPython {minor} (3.10.7 or later) at {PYENV}/versions/{minor}.*")
+    def printed(source):
+        return export_json(letlang.parse(source), letlang.LANG) + "\n"
+
+    deep, flat = minus_source(MAX_DEPTH), flat_source(28_000)
+    too_deep = (f"input nested too deeply: 2:{MAX_DEPTH + 7}:"
+                f" more than {MAX_DEPTH} nested parentheses and operators\n")
+    rows = [(deep, 0, printed(deep), ""), (minus_source(MAX_DEPTH + 1), 4, "", too_deep),
+            (flat, 0, printed(flat), "")]
+    for python in CPYTHONS[minor]:
+        for source, code, out, err in rows:
+            done = run_process(["let", "pretty", "--output", "ast"], stdin=source.encode(),
+                               python=str(python), PYTHONDONTWRITEBYTECODE="1")
+            assert done.returncode >= 0, f"{python} died by signal {-done.returncode}"
+            assert done.returncode == code, (python, done.stderr)
+            assert done.stderr.decode() == err, python
+            assert done.stdout.decode() == out, python
 
 
 def test_let_opt_on_a_self_reference_exits_4_in_one_line():

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from generators import let_exps, let_programs, mexps
 from oracles import export_ast_recursive, preorder_values, replace_at
-from programs import RUNNING, RUNNING_ROOT
+from programs import RUNNING, RUNNING_ROOT, minus_source
+from zipstrat.cli import RECURSION_LIMIT
 from zipstrat.letlang import (
     LANG,
     Add,
@@ -29,8 +30,10 @@ from zipstrat.letlang import (
     Neg,
     Root,
     Var,
+    parse,
 )
 from zipstrat import smells, zipper
+from zipstrat.lexing import MAX_DEPTH
 from zipstrat.zipper import (
     ChildIndexError,
     ConstructorTag,
@@ -501,6 +504,44 @@ def test_json_roundtrip_bit_exact():
     again = export_json(import_json(text, LANG), LANG)
     assert text == again
     assert json.loads(text) == export_ast(RUNNING_ROOT, LANG)
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_export_json_needs_no_frame_per_level():
+    # At the parsers' nesting limit, with 200 frames to spare, the text is
+    # still what the C encoder writes under a limit raised for it.
+    tree = parse(minus_source(MAX_DEPTH))
+    limit = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(RECURSION_LIMIT)
+        expected = json.dumps(export_ast(tree, LANG))
+        sys.setrecursionlimit(_stack_depth() + 200)
+        text = export_json(tree, LANG)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text == expected
+    assert text.count('"ctor": "Neg"') == MAX_DEPTH
+
+
+@pytest.mark.parametrize("tree, lang", [
+    (parse("let \u00e9 = 1 in \u00e9"), LANG),
+    (parse(f"let a = {'9' * 4_300} in a"), LANG),
+    (Root(Let(EmptyList(), Const(0))), LANG),
+    (smells.parse_m("[True, False, [], x == []]"), smells.LANG),
+    (True, LANG),
+    ("\u00e9\n\"", LANG),
+], ids=["non-ascii-name", "long-constant", "empty-block", "bools-and-empty-lists",
+        "bool-root", "str-root"])
+def test_export_json_writes_edge_leaves_as_json_dumps_does(tree, lang):
+    text = export_json(tree, lang)
+    assert text == json.dumps(export_ast(tree, lang))
+    assert text.isascii() and import_json(text, lang) == tree
 
 
 def test_import_rejects_malformed():
