@@ -27,14 +27,15 @@ import sys
 from typing import Callable
 
 from . import letlang, smells
-from .lexing import MAX_DEPTH, DepthError, ParseError
+from .lexing import DepthError, ParseError
 from .strategies import DEFAULT_FUEL, SCHEMES, FuelExhaustedError
 from .zipper import export_json, from_zipper
 
-#: The recursion limit :func:`run` sets while its task runs.  The smell parser (three
-#: frames per bracket), traversals and printers recurse along the tree; this leaves
-#: room for an expression at the parsers' nesting limit and for the CLI and its caller.
-RECURSION_LIMIT = 3 * MAX_DEPTH + 1_000
+#: The recursion limit :func:`run` sets while its task runs.  The smell parser and
+#: printers take up to two frames per level of an expression at the nesting limit, and
+#: the traversals one per declaration of a let block: ``let names``/``check``/``opt``
+#: take a block of 28,000 declarations under this limit, with room for the CLI's caller.
+RECURSION_LIMIT = 31_000
 
 EXIT_OK = 0
 EXIT_SYNTAX = 1

@@ -54,8 +54,11 @@ class ListLit(MExp):
     items: tuple[MExp, ...]
 
 
-#: Binding power of each infix operator; the parser and the printer both read it.
+#: One precedence ladder, read by the parser and the printer, loosest first: 0 ``if``;
+#: 1 and 2 the binding power of each infix operator, ``==`` (non-associative) below
+#: ``:`` and ``++`` (both right-associative); 3 application (a name and one atom); 4 atoms.
 _INFIX = {"==": 1, ":": 2, "++": 2}
+_IF_PREC, _APP_PREC, _ATOM_PREC = 0, 3, 4
 
 
 @dataclass(frozen=True)
@@ -91,10 +94,6 @@ def mexp_zipper(e: MExp) -> Zipper:
 
 
 # -- concrete syntax ----------------------------------------------------------
-#
-# One precedence ladder, loosest first: 0 ``if``; 1 and 2 the binding powers
-# in ``_INFIX``, ``==`` (non-associative) below ``:`` and ``++`` (both
-# right-associative); 3 application (a name and one atom); 4 atoms.
 
 _SYMBOLS = (*_INFIX, ",", "[", "]", "(", ")")
 _KEYWORDS = frozenset({"if", "then", "else", "True", "False"})
@@ -113,58 +112,41 @@ def parse_m(text: str) -> MExp:
 
 
 def _parse_exp(p: TokenStream, power: int = 0) -> MExp:
-    """An expression whose infix operators bind at least as tightly as ``power``."""
-    if power == 0 and p.at("keyword", "if"):
-        tok = p.advance()
-        p.parens += 1  # open up to its else-branch; else-if chains, like ":" chains, go uncounted
-        if p.parens > MAX_DEPTH:
-            p.too_deep(tok, _NESTS)
-        cond = _parse_exp(p)
-        p.expect("keyword", "then")
-        then = _parse_exp(p)
-        p.expect("keyword", "else")
-        p.parens -= 1
-        orelse = _parse_exp(p)
-        return If(cond, then, orelse)
-    left = _parse_app(p)
-    # Only operator tokens spell an operator, so the text alone decides.
-    while _INFIX.get(p.peek().text, -1) >= power:
-        op = p.advance().text
-        # At power 2 the right operand takes every ":" and "++" that follows.
-        left = Infix(op, left, _parse_exp(p, 2))
-        if op == "==":
-            power = 2  # "==" does not chain
-    return left
+    """An expression whose operators bind at least as tightly as ``power``.
 
-
-def _at_atom(p: TokenStream) -> bool:
+    One operand is read first: a literal, a name (applied to the atom after it
+    below ``_ATOM_PREC``), a bracket, or an ``if`` at power 0.  Then every infix
+    operator of ``_INFIX`` binding at least ``power`` takes it as its left side.
+    A bracket or an ``if`` costs one Python frame, an application two.
+    """
     tok = p.peek()
-    return tok.kind in ("int", "name") or tok.text in ("(", "[", "True", "False")
-
-
-def _parse_app(p: TokenStream) -> MExp:
-    if p.at("name"):
-        name = p.advance().text
-        if _at_atom(p):
-            return Call(name, _parse_atom(p))
-        return Var(name)
-    return _parse_atom(p)
-
-
-def _parse_atom(p: TokenStream) -> MExp:
-    if p.at("int"):
-        return IntLit(p.integer())
-    if p.at("keyword", "True") or p.at("keyword", "False"):
-        return BoolLit(p.advance().text == "True")
-    if p.at("name"):
-        return Var(p.advance().text)
-    if p.at("op", "(") or p.at("op", "["):
-        tok = p.advance()
-        p.parens += 1  # open brackets of either kind; no newline token lexes here
+    if tok.kind == "int":
+        left: MExp = IntLit(p.integer())
+    elif tok.kind == "name":
+        p.advance()
+        arg = p.peek()  # an application's argument is an atom
+        if power < _ATOM_PREC and (
+            arg.kind in ("int", "name") or arg.text in ("(", "[", "True", "False")
+        ):
+            left = Call(tok.text, _parse_exp(p, _ATOM_PREC))
+        else:
+            left = Var(tok.text)
+    elif tok.text in ("True", "False"):
+        left = BoolLit(p.advance().text == "True")
+    elif tok.text in ("(", "[") or (tok.text == "if" and power == 0):
+        p.advance()
+        p.parens += 1  # open up to the closing bracket or the else-branch, which goes uncounted
         if p.parens > MAX_DEPTH:
             p.too_deep(tok, _NESTS)
+        if tok.text == "if":
+            cond = _parse_exp(p)
+            p.expect("keyword", "then")
+            then = _parse_exp(p)
+            p.expect("keyword", "else")
+            p.parens -= 1
+            return If(cond, then, _parse_exp(p))
         if tok.text == "(":
-            e = _parse_exp(p)
+            left = _parse_exp(p)
             p.expect("op", ")")
         else:
             items: list[MExp] = []
@@ -174,13 +156,18 @@ def _parse_atom(p: TokenStream) -> MExp:
                     p.advance()
                     items.append(_parse_exp(p))
             p.expect("op", "]")
-            e = ListLit(tuple(items))
+            left = ListLit(tuple(items))
         p.parens -= 1
-        return e
-    p.fail(f"expected an expression, found {describe(p.peek())}")
-
-
-_IF_PREC, _APP_PREC, _ATOM_PREC = 0, 3, 4
+    else:
+        p.fail(f"expected an expression, found {describe(tok)}")
+    # Only operator tokens spell an operator, so the text alone decides.
+    while _INFIX.get(p.peek().text, -1) >= power:
+        op = p.advance().text
+        # At power 2 the right operand takes every ":" and "++" that follows.
+        left = Infix(op, left, _parse_exp(p, 2))
+        if op == "==":
+            power = 2  # "==" does not chain
+    return left
 
 
 def pretty_m(e: MExp, prec: int = 0) -> str:

@@ -3,6 +3,7 @@ each as both source text and the abstract tree the source must parse to."""
 
 from __future__ import annotations
 
+from zipstrat import smells
 from zipstrat.letlang import (
     Add,
     Assign,
@@ -162,6 +163,21 @@ def join_list_source(n: int) -> str:
 def brackets_source(depth: int) -> str:
     """A smell name inside ``depth`` nested brackets."""
     return "[" * depth + "x" + "]" * depth
+
+
+def smell_nest(shape: str, depth: int) -> tuple[str, smells.MExp]:
+    """``depth`` nested brackets, applications ``f (…)`` or ``if``s (in condition
+    position) around ``x``: the source and its tree, built one level at a time."""
+    source, wrap = {
+        "brackets": (brackets_source(depth), lambda e: smells.ListLit((e,))),
+        "applications": ("f (" * depth + "x" + ")" * depth, lambda e: smells.Call("f", e)),
+        "ifs": ("if " * depth + "x" + " then x else x" * depth,
+                lambda e: smells.If(e, smells.Var("x"), smells.Var("x"))),
+    }[shape]
+    tree: smells.MExp = smells.Var("x")
+    for _ in range(depth):
+        tree = wrap(tree)
+    return source, tree
 
 
 SHAPES = (rev_source, flat_source, nested_chain_source, sum_source, sub_chain_source,

@@ -21,7 +21,7 @@ from hypothesis import strategies as hst
 
 from generators import let_programs, mexps, random_program
 from programs import (ERRORS_SOURCE, RUNNING_SOURCE, SHAPES, brackets_source, flat_source,
-                      minus_source, rev_source)
+                      minus_source, parens_source, rev_source, smell_nest)
 from zipstrat import cli, letlang, smells, strategies
 from zipstrat.cli import main
 from zipstrat.lexing import MAX_DEPTH
@@ -283,11 +283,13 @@ def test_invalid_utf8_reports_error(capsys, tmp_path):
     assert len(err.strip().splitlines()) == 1
 
 
-def run_process(argv, stdin: bytes, *, python: str = sys.executable,
+def run_process(argv, stdin: bytes, *, python: str = sys.executable, shell: str = "",
                 **env_vars: str) -> subprocess.CompletedProcess:
-    # Under the C locale, Python's own stdin escapes undecodable bytes.
+    # Under the C locale, Python's own stdin escapes undecodable bytes.  A
+    # ``shell`` redirection such as ``0<&-`` applies to the CLI's process.
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "LC_ALL": "C", **env_vars}
-    return subprocess.run([python, "-m", "zipstrat.cli", *argv], input=stdin,
+    wrap = ["sh", "-c", f'exec "$@" {shell}', "sh"] if shell else []
+    return subprocess.run([*wrap, python, "-m", "zipstrat.cli", *argv], input=stdin,
                           capture_output=True, env=env, timeout=300)
 
 
@@ -356,7 +358,7 @@ def test_deep_input_exits_4_without_traceback(argv, source):
 
 @pytest.mark.parametrize("output", ["text", "ast"])
 def test_smell_fix_has_headroom_for_deep_brackets(output):
-    # The smell parser spends three Python frames per nested bracket.
+    # The smell parser spends one Python frame per nested bracket.
     depth = 9_000
     done = run_process(["smell", "fix", "--output", output],
                        stdin=("[" * depth + "x" + "]" * depth).encode())
@@ -458,29 +460,78 @@ def cpythons() -> dict[str, list[Path]]:
 CPYTHONS = cpythons()
 
 
+def assert_rows_hold(minor, rows):
+    """Run each row ``(argv, stdin, shell, code, stdout, stderr)`` of the CLI under
+    every CPython ``minor`` found; death by a signal fails."""
+    if not CPYTHONS[minor]:
+        pytest.skip(f"no CPython {minor} (3.10.7 or later) at {PYENV}/versions/{minor}.*")
+    for python in CPYTHONS[minor]:
+        for argv, stdin, shell, code, out, err in rows:
+            done = run_process(argv, stdin=stdin, python=str(python), shell=shell,
+                               PYTHONDONTWRITEBYTECODE="1")
+            assert done.returncode >= 0, f"{python} {argv} died by signal {-done.returncode}"
+            assert done.returncode == code, (python, argv, done.stderr)
+            assert done.stderr.decode() == err, (python, argv)
+            assert done.stdout.decode() == out, (python, argv)
+
+
 @pytest.mark.parametrize("minor", CPYTHONS)
 def test_the_ast_output_holds_on_every_interpreter(minor):
     # The JSON writer recurses on no interpreter: at the nesting limit and on a
     # long flat block ``--output ast`` prints, and one level past the limit the
     # minus is named, under every CPython the package supports.
-    if not CPYTHONS[minor]:
-        pytest.skip(f"no CPython {minor} (3.10.7 or later) at {PYENV}/versions/{minor}.*")
     def printed(source):
         return export_json(letlang.parse(source), letlang.LANG) + "\n"
 
+    argv = ["let", "pretty", "--output", "ast"]
     deep, flat = minus_source(MAX_DEPTH), flat_source(28_000)
     too_deep = (f"input nested too deeply: 2:{MAX_DEPTH + 7}:"
                 f" more than {MAX_DEPTH} nested parentheses and operators\n")
-    rows = [(deep, 0, printed(deep), ""), (minus_source(MAX_DEPTH + 1), 4, "", too_deep),
-            (flat, 0, printed(flat), "")]
-    for python in CPYTHONS[minor]:
-        for source, code, out, err in rows:
-            done = run_process(["let", "pretty", "--output", "ast"], stdin=source.encode(),
-                               python=str(python), PYTHONDONTWRITEBYTECODE="1")
-            assert done.returncode >= 0, f"{python} died by signal {-done.returncode}"
-            assert done.returncode == code, (python, done.stderr)
-            assert done.stderr.decode() == err, python
-            assert done.stdout.decode() == out, python
+    assert_rows_hold(minor, [(argv, deep.encode(), "", 0, printed(deep), ""),
+                             (argv, minus_source(MAX_DEPTH + 1).encode(), "", 4, "", too_deep),
+                             (argv, flat.encode(), "", 0, printed(flat), "")])
+
+
+def nesting_limit_rows():
+    """``smell fix`` on each of ``SMELL_NESTS`` at ``MAX_DEPTH`` and one past it, as
+    text and as an AST; ``let pretty`` likewise on nested parentheses."""
+    rows = []
+    for shape, (opener, nest) in SMELL_NESTS.items():
+        tree = smell_nest(shape, MAX_DEPTH)[1]  # ``smell fix`` finds no smell in it
+        inner = MAX_DEPTH - 1
+        text = ("f (" * inner + "f x" + ")" * inner if shape == "applications"
+                else nest(MAX_DEPTH))
+        past = nest(MAX_DEPTH + 1)
+        too_deep = (f"input nested too deeply: 1:{past.rindex(opener) + 1}:"
+                    f" more than {MAX_DEPTH} nested brackets, applications and ifs\n")
+        for output, out in [("text", text), ("ast", export_json(tree, smells.LANG))]:
+            argv = ["smell", "fix", "--output", output]
+            rows += [(argv, nest(MAX_DEPTH).encode(), "", 0, out + "\n", ""),
+                     (argv, past.encode(), "", 4, "", too_deep)]
+    deep, past = parens_source(MAX_DEPTH), parens_source(MAX_DEPTH + 1)
+    too_deep = (f"input nested too deeply: 1:{past.rindex('(') + 1}:"
+                f" more than {MAX_DEPTH} nested parentheses and operators\n")
+    for output, out in [("text", "let a = 1\nin a"),
+                        ("ast", export_json(letlang.parse(deep), letlang.LANG))]:
+        argv = ["let", "pretty", "--output", output]
+        rows += [(argv, deep.encode(), "", 0, out + "\n", ""),
+                 (argv, past.encode(), "", 4, "", too_deep)]
+    return rows
+
+
+@pytest.mark.parametrize("minor", CPYTHONS)
+def test_the_nesting_limits_and_stream_errors_hold_on_every_interpreter(minor):
+    # Each parser stops at its nesting limit with a positioned error, not a
+    # crash, and unreadable input or a closed stream ends in one line, under
+    # every CPython the package supports.
+    decode_error = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    assert_rows_hold(minor, [
+        *nesting_limit_rows(),
+        (["let", "pretty"], b"\xff\xfe", "", 1, "", decode_error),
+        (["let", "names"], b"", "0<&-", 1, "", "cannot read input: standard input is closed\n"),
+        (["smell", "fix"], b"x == True", "1>&-", 1, "",
+         "cannot write output: standard output is closed\n"),
+    ])
 
 
 def test_let_opt_on_a_self_reference_exits_4_in_one_line():

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import random
+import sys
+import traceback
 
 import pytest
 from hypothesis import given
 
 from generators import mexps, random_mexp
 from oracles import normalize_anywhere, smelly_subterms, typed_rule
+from programs import smell_nest
+from zipstrat.lexing import MAX_DEPTH
 from zipstrat.smells import (
     LANG,
     BoolLit,
@@ -31,7 +35,7 @@ from zipstrat.smells import (
     smell_step,
 )
 from zipstrat.strategies import DEFAULT_FUEL, apply_tp
-from zipstrat.zipper import from_zipper
+from zipstrat.zipper import export_json, from_zipper
 
 
 def smell_free(e: MExp, fuel: int = DEFAULT_FUEL) -> MExp:
@@ -102,6 +106,21 @@ def test_parse_error_position():
 def test_parse_rejects_trailing():
     with pytest.raises(ParseError):
         parse_m("f x y")
+
+
+def test_parse_m_needs_a_frame_per_bracket_or_if_and_two_per_application():
+    # At the nesting limit, with 200 frames to spare, each nest parses (trees
+    # compared by the JSON writer, which keeps its own stack).
+    limit = sys.getrecursionlimit()
+    for shape, frames in [("brackets", 1), ("ifs", 1), ("applications", 2)]:
+        source, expected = smell_nest(shape, MAX_DEPTH)
+        depth = sum(1 for _ in traceback.walk_stack(None))
+        try:
+            sys.setrecursionlimit(depth + frames * MAX_DEPTH + 200)
+            tree = parse_m(source)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert export_json(tree, LANG) == export_json(expected, LANG)
 
 
 def test_pretty_examples():
