@@ -255,7 +255,7 @@ def smell_step() -> TP:
     return step
 
 
-def smell_elim(z: Zipper, fuel: int = DEFAULT_FUEL) -> Zipper | None:
+def smell_elim(z: Zipper, fuel: int = DEFAULT_FUEL) -> Zipper:
     """Innermost normalization with the four rule families; always succeeds.
 
     Every rule strictly shrinks the term, so the fixed point is reached on any

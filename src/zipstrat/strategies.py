@@ -134,7 +134,7 @@ def _metered(s: TP, fuel: int) -> TP:
 
 
 def _a(node: Any) -> str:
-    return f"{'an' if type(node).__name__[0] in 'AEIOU' else 'a'} {type(node).__name__}"
+    return f"{'an' if type(node).__name__[0] in 'AEIOUaeiou' else 'a'} {type(node).__name__}"
 
 
 _SHOWN = 8  # the indices a long position shows, so a deep run still gets a short line
@@ -284,6 +284,7 @@ def choice_tu(a: TU, b: TU) -> TU:
 def _tp(s: TP, order: str, policy: str) -> TP:
     """The traversal kernel, the only walk over the tree in this module.
 
+    A leaf is not asked for its children: the walk moves down from a node only.
     A subtree where nothing succeeded yields ``None`` (under ``again``, the
     zipper it came as), and a child that came back as the same zipper is not
     put back into its parent, so neither is rebuilt.  Under ``again``, the new
@@ -302,7 +303,7 @@ def _tp(s: TP, order: str, policy: str) -> TP:
         old = kept = None  # under ``again``: the node ``s`` last rewrote, held so no id is reused
         while True:
             below = moved = False
-            c = z.down_left()
+            c = None if type(z.focus) in _LEAF_TYPES else z.down_left()
             while c is not None:
                 if old is not None and type(c.focus) not in _LEAF_TYPES:
                     if kept is None:  # built at the first non-leaf child, never for leaves

@@ -1,18 +1,18 @@
 """Generic navigation and local transformation over immutable heterogeneous trees.
 
 Trees are built from frozen dataclasses registered with a :class:`Language`.
-The registry derives each constructor's reflection contract (tag, ordered
-children, rebuild) from its dataclass fields, so navigation needs no
-per-type boilerplate.  Primitive payloads (``str``, ``int``, ``bool``) are
-zero-arity leaf nodes: child indices count every constructor argument, and
-navigation can reach the name inside a binding just like any subtree.
+Registration compiles each constructor's tag and child accessor from its
+dataclass fields, so navigation needs no per-type boilerplate.  Primitive
+payloads (``str``, ``int``, ``bool``) are zero-arity leaf nodes: child
+indices count every constructor argument, and navigation can reach the name
+inside a binding just like any subtree.
 
 A zipper is its focus, the focus's siblings and the zipper one level up that
 it was made from, which is Huet's path node ``Node(left, up, right)`` in
-"The Zipper" (JFP 1997): every move makes one zipper and shares everything
-above it, so a move costs O(1) at any depth, and moving back up hands back
-the zipper above as it is.  A replaced focus is plugged back into its parent
-in one place, :func:`_write_back`.
+"The Zipper" (JFP 1997): a move makes one zipper (down, with the siblings
+tuple) and shares everything above it, so it copies nothing and costs O(1)
+at any depth; moving back up hands back the zipper above as it is.  A
+replaced focus is plugged back into its parent in one place, :func:`_write_back`.
 
 All values here are immutable (zippers are frozen slotted dataclasses);
 every "edit" produces a fresh value, so sharing across threads is safe.
@@ -26,6 +26,7 @@ import json
 import typing
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
+from operator import attrgetter
 from typing import Any, Callable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -76,6 +77,19 @@ class _CtorSpec:
     base: type
     fields: tuple[_FieldSpec, ...]
     variadic: bool
+    kids: Callable[[Any], tuple[Any, ...]]  # the children, as one tuple
+    tag: ConstructorTag | None  # ``None`` when variadic: the arity is the node's own
+
+
+def _ctor_spec(cls: type, base: type, fields: tuple[_FieldSpec, ...]) -> _CtorSpec:
+    """The spec of ``cls``, with its child accessor and (fixed-arity) tag compiled once."""
+    names, variadic = [f.name for f in fields], any(f.variadic for f in fields)
+    if variadic or len(names) > 1:  # a variadic field already holds the tuple
+        kids = attrgetter(*names)
+    else:  # ``attrgetter`` of one name returns the value itself
+        kids = (lambda v, one=attrgetter(*names): (one(v),)) if names else lambda v: ()
+    tag = None if variadic else ConstructorTag(base.__name__, cls.__name__, len(fields))
+    return _CtorSpec(cls, base, fields, variadic, kids, tag)
 
 
 class Language:
@@ -90,7 +104,7 @@ class Language:
 
     def __init__(self, name: str):
         self.name = name
-        self._ctors: dict[type, _CtorSpec] = {t: _CtorSpec(t, t, (), False) for t in _LEAF_TYPES}
+        self._ctors: dict[type, _CtorSpec] = {t: _ctor_spec(t, t, ()) for t in _LEAF_TYPES}
         self._by_name: dict[tuple[str, str], _CtorSpec] = {}
 
     def register(self, base: type, *ctors: type) -> None:
@@ -101,7 +115,7 @@ class Language:
             if not issubclass(cls, base):
                 raise RegistrationError(f"{cls.__name__} is not a subclass of {base.__name__}")
             fields = self._field_specs(cls)
-            spec = _CtorSpec(cls, base, fields, any(f.variadic for f in fields))
+            spec = _ctor_spec(cls, base, fields)
             if spec.variadic and len(fields) != 1:
                 raise RegistrationError(
                     f"{cls.__name__}: a variadic constructor must have exactly one field"
@@ -154,8 +168,8 @@ class Language:
 
     def tag(self, value: Any) -> ConstructorTag:
         spec = self._spec(value)
-        arity = len(getattr(value, spec.fields[0].name)) if spec.variadic else len(spec.fields)
-        return ConstructorTag(spec.base.__name__, spec.cls.__name__, arity)
+        return spec.tag or ConstructorTag(spec.base.__name__, spec.cls.__name__,
+                                          len(spec.kids(value)))
 
     def children(self, value: Any) -> list[Any]:
         """Ordered children, counting every constructor argument (leaves included)."""
@@ -163,6 +177,9 @@ class Language:
         if spec.variadic:
             return list(getattr(value, spec.fields[0].name))
         return [getattr(value, f.name) for f in spec.fields]
+
+    def _kids(self, value: Any) -> tuple[Any, ...]:  # ``children`` as a move's siblings
+        return self._spec(value).kids(value)
 
     def rebuild(self, tag: ConstructorTag, children: Sequence[Any]) -> Any:
         """Reassemble a node; fails loudly on child count or child type mismatch.
@@ -205,7 +222,7 @@ def _write_back(focus: Any, z: Zipper) -> tuple[Any, tuple[Any, ...]]:
     return z.lang.rebuild(z.lang.tag(z.above.focus), kids), kids
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class Zipper:
     """A focused subtree, its siblings and the zipper one level up that it was made from.
 
@@ -229,6 +246,13 @@ class Zipper:
     above: Zipper | None = None
     siblings: tuple[Any, ...] = ()
     index: int = 0
+
+    def __init__(self, focus, lang, above=None, siblings=(), index=0):  # skips frozen __setattr__
+        _set_focus(self, focus)
+        _set_lang(self, lang)
+        _set_above(self, above)
+        _set_siblings(self, siblings)
+        _set_index(self, index)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Zipper):
@@ -259,9 +283,6 @@ class Zipper:
     def _replace(self, focus: Any) -> Zipper:
         return Zipper(focus, self.lang, self.above, self.siblings, self.index)
 
-    def _down(self, kids: list[Any], index: int) -> Zipper:
-        return Zipper(kids[index], self.lang, self, tuple(kids), index)
-
     def _sibling(self, step: int) -> Zipper | None:
         above, kids, index = self.above, self.siblings, self.index + step
         if above is None or not 0 <= index < len(kids):
@@ -285,13 +306,13 @@ class Zipper:
 
     def down_left(self) -> Zipper | None:
         """Move to the leftmost child."""
-        kids = self.lang.children(self.focus)
-        return self._down(kids, 0) if kids else None
+        kids = self.lang._kids(self.focus)
+        return Zipper(kids[0], self.lang, self, kids, 0) if kids else None
 
     def down_right(self) -> Zipper | None:
         """Move to the rightmost child."""
-        kids = self.lang.children(self.focus)
-        return self._down(kids, len(kids) - 1) if kids else None
+        kids = self.lang._kids(self.focus)
+        return Zipper(kids[-1], self.lang, self, kids, len(kids) - 1) if kids else None
 
     def left(self) -> Zipper | None:
         return self._sibling(-1)
@@ -329,10 +350,10 @@ class Zipper:
 
     def child_at(self, index: int) -> Zipper:
         """Move to the 1-based ``index``-th child, counting every constructor argument."""
-        kids = self.lang.children(self.focus)
+        kids = self.lang._kids(self.focus)
         if not 1 <= index <= len(kids):
             raise ChildIndexError(f"child index {index} out of range 1..{len(kids)}")
-        return self._down(kids, index - 1)
+        return Zipper(kids[index - 1], self.lang, self, kids, index - 1)
 
     def parent(self) -> Zipper:
         up = self.up()
@@ -370,6 +391,10 @@ class Zipper:
                     f"transformation changed {before.__name__} into {after.__name__}"
                 )
         return self._replace(result)
+
+
+_set_focus, _set_lang, _set_above, _set_siblings, _set_index = (
+    getattr(Zipper, f.name).__set__ for f in dataclasses.fields(Zipper))
 
 
 def to_zipper(root: Any, lang: Language) -> Zipper:

@@ -7,6 +7,7 @@ import contextlib
 import dataclasses
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -42,6 +43,7 @@ from programs import (
     RUNNING,
     RUNNING_ARITH_NF,
     RUNNING_ROOT,
+    flat_source,
     neg_chain_source,
     rev_source,
     sub_chain_source,
@@ -549,6 +551,20 @@ def test_tu_traversals_never_move_up(traversal, monkeypatch):
     assert ups == []
 
 
+@pytest.mark.parametrize("analysis", [errors_strategic, letlang.names])
+def test_a_walk_moves_down_once_per_node_and_reads_no_child_list(analysis, monkeypatch):
+    # Moves read the compiled accessor, and the kernel asks no leaf for its children.
+    root = letlang.parse(flat_source(40))
+    nodes = Counter(id(v) for v in preorder_values(root, LANG) if type(v) not in (bool, int, str))
+    downs, lists = Counter(), []
+    down_left, children = Zipper.down_left, Language.children
+    monkeypatch.setattr(Zipper, "down_left", lambda z: downs.update([id(z.focus)]) or down_left(z))
+    monkeypatch.setattr(Language, "children", lambda lang, v: lists.append(v) or children(lang, v))
+    analysis(root_zipper(root))
+    assert lists == []
+    assert downs == nodes
+
+
 def test_only_the_kernel_moves_a_zipper():
     # One walker: a second copy of descend / move right / move up would have to
     # be kept in step with the kernel by hand.
@@ -842,6 +858,14 @@ def test_full_td_stops_at_its_fuel_on_rev_12():
     with pytest.raises(FuelExhaustedError):
         strategies.scheme("full-td", counted, 100)(root_zipper(letlang.parse(rev_source(12))))
     assert len(hits) == 101
+
+
+def test_the_fuel_message_puts_an_before_a_lower_case_vowel():
+    z = root_zipper(letlang.parse("let a = 1 in a"))
+    bump = adhoc_tp(fail_tp, int, lambda n: n + 1)
+    with pytest.raises(FuelExhaustedError,
+                       match=r"rewrite 4 turned an int into an int at \(0, 0, 1, 0\)$"):
+        strategies.scheme("innermost", bump, 3)(z)
 
 
 def test_innermost_fuel_guard_is_not_a_recursion():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import json
 import sys
 import tracemalloc
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from generators import let_exps, let_programs, mexps
@@ -250,6 +251,38 @@ def test_constructor_tags():
             read(3.5)
 
 
+def test_fixed_arity_tags_are_built_once_and_a_list_literals_tag_reads_its_length():
+    for value, other, lang, expected in [
+        (RUNNING.decls, Assign("b", Const(2), EmptyList()), LANG, ("List", "Assign", 3)),
+        (EmptyList(), EmptyList(), LANG, ("List", "EmptyList", 0)),
+        (Neg(Const(1)), Neg(Var("x")), LANG, ("Exp", "Neg", 1)),
+        ("a", "b", LANG, ("str", "str", 0)),
+        (7, 8, smells.LANG, ("int", "int", 0)),
+        (smells.Var("xs"), smells.Var("ys"), smells.LANG, ("MExp", "Var", 1)),
+    ]:
+        assert lang.tag(value) == ConstructorTag(*expected)
+        assert lang.tag(other) is lang.tag(value)
+    items = (smells.IntLit(1), smells.Var("xs"), smells.BoolLit(True))
+    for n in range(len(items) + 1):
+        assert smells.LANG.tag(smells.ListLit(items[:n])) == ConstructorTag("MExp", "ListLit", n)
+
+
+@given(st.one_of(let_programs().map(lambda r: (r, LANG)), mexps.map(lambda e: (e, smells.LANG))))
+@example((smells.ListLit(tuple(smells.IntLit(i) for i in range(9))), smells.LANG))
+def test_the_compiled_accessor_reads_the_children(tree_and_lang):
+    tree, lang = tree_and_lang
+    for value in preorder_values(tree, lang):
+        kids = lang._kids(value)
+        assert type(kids) is tuple and kids == tuple(lang.children(value))
+        if kids:  # one tuple for every sibling; a list literal's is its own items
+            below = to_zipper(value, lang).down_left()
+            assert below.siblings == kids
+            while (below := below.right()) is not None:
+                assert below.siblings is below.left().siblings
+            if isinstance(value, smells.ListLit):
+                assert to_zipper(value, lang).down_right().siblings is value.items
+
+
 def test_register_reports_an_unresolvable_annotation():
     # Annotations are strings here; one that names nothing cannot be resolved.
     @dataclass(frozen=True)
@@ -390,6 +423,26 @@ def test_zippers_and_frames_are_immutable():
     with pytest.raises(AttributeError):
         del z.index
     assert z.focus is RUNNING.decls and z.above.focus is RUNNING
+
+
+def test_a_zipper_is_a_frozen_value_with_its_defaults():
+    z = to_zipper(RUNNING, LANG).child_at(1).child_at(2)
+    for f in dataclasses.fields(Zipper):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(z, f.name, getattr(z, f.name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(z, f.name)
+    same = dataclasses.replace(z)
+    assert same is not z and same == z
+    assert [getattr(same, f.name) for f in dataclasses.fields(Zipper)] == [
+        getattr(z, f.name) for f in dataclasses.fields(Zipper)]
+    moved = dataclasses.replace(z, index=0, focus=z.siblings[0])
+    assert moved == z.left()
+    root = Zipper(RUNNING, LANG)
+    assert (root.focus, root.lang, root.above, root.siblings, root.index) == (
+        RUNNING, LANG, None, (), 0)
+    assert root == to_zipper(RUNNING, LANG)
+    assert Zipper(focus=RUNNING, lang=LANG) == root
 
 
 def test_a_move_at_depth_copies_no_path():
