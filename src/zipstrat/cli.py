@@ -14,7 +14,8 @@ Input, from a file or standard input, must be UTF-8.  Exit codes: 0 success,
 1 syntax error, unreadable input or output that cannot be written (a closed
 pipe or standard stream, or text the output encoding cannot represent), 2 scope
 errors, 3 rewrite budget exhausted, 4 input nested too deeply (a let expression
-past ``lexing.MAX_DEPTH`` pending parentheses and operators, reported with its
+past ``lexing.MAX_DEPTH`` pending parentheses and operators, or a smell expression
+past ``MAX_DEPTH`` nested brackets, applications and ifs, each reported with its
 line:col, or any tree past the Python stack), 5 usage error (a bad option or
 argument), 6 out of memory.
 Diagnostics go to standard error, one line each (see :func:`run`, which the demo uses too).

@@ -21,7 +21,6 @@ every "edit" produces a fresh value, so sharing across threads is safe.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import typing
 from dataclasses import dataclass
@@ -66,8 +65,7 @@ class ConstructorTag:
 @dataclass(frozen=True)
 class _FieldSpec:
     name: str
-    typ: type
-    leaf: bool
+    typ: type  # a child is a leaf exactly when ``typ`` is in ``_LEAF_TYPES``
     variadic: bool
 
 
@@ -76,7 +74,6 @@ class _CtorSpec:
     cls: type
     base: type
     fields: tuple[_FieldSpec, ...]
-    variadic: bool
     kids: Callable[[Any], tuple[Any, ...]]  # the children, as one tuple
     tag: ConstructorTag | None  # ``None`` when variadic: the arity is the node's own
 
@@ -89,7 +86,7 @@ def _ctor_spec(cls: type, base: type, fields: tuple[_FieldSpec, ...]) -> _CtorSp
     else:  # ``attrgetter`` of one name returns the value itself
         kids = (lambda v, one=attrgetter(*names): (one(v),)) if names else lambda v: ()
     tag = None if variadic else ConstructorTag(base.__name__, cls.__name__, len(fields))
-    return _CtorSpec(cls, base, fields, variadic, kids, tag)
+    return _CtorSpec(cls, base, fields, kids, tag)
 
 
 class Language:
@@ -116,7 +113,7 @@ class Language:
                 raise RegistrationError(f"{cls.__name__} is not a subclass of {base.__name__}")
             fields = self._field_specs(cls)
             spec = _ctor_spec(cls, base, fields)
-            if spec.variadic and len(fields) != 1:
+            if spec.tag is None and len(fields) != 1:
                 raise RegistrationError(
                     f"{cls.__name__}: a variadic constructor must have exactly one field"
                 )
@@ -135,17 +132,15 @@ class Language:
         specs = []
         for f in dataclasses.fields(cls):
             ann = hints[f.name]
-            if ann in _LEAF_TYPES:
-                specs.append(_FieldSpec(f.name, ann, leaf=True, variadic=False))
-            elif typing.get_origin(ann) is tuple:
+            if typing.get_origin(ann) is tuple:
                 args = typing.get_args(ann)
                 if len(args) != 2 or args[1] is not Ellipsis or not isinstance(args[0], type):
                     raise RegistrationError(
                         f"{cls.__name__}.{f.name}: only tuple[T, ...] children are supported"
                     )
-                specs.append(_FieldSpec(f.name, args[0], leaf=False, variadic=True))
+                specs.append(_FieldSpec(f.name, args[0], variadic=True))
             elif isinstance(ann, type):
-                specs.append(_FieldSpec(f.name, ann, leaf=False, variadic=False))
+                specs.append(_FieldSpec(f.name, ann, variadic=False))
             else:
                 raise RegistrationError(
                     f"{cls.__name__}.{f.name}: unsupported field annotation {ann!r}"
@@ -172,11 +167,8 @@ class Language:
                                           len(spec.kids(value)))
 
     def children(self, value: Any) -> list[Any]:
-        """Ordered children, counting every constructor argument (leaves included)."""
-        spec = self._spec(value)
-        if spec.variadic:
-            return list(getattr(value, spec.fields[0].name))
-        return [getattr(value, f.name) for f in spec.fields]
+        """Ordered children, counting every constructor argument (leaves included); a fresh list."""
+        return [*self._spec(value).kids(value)]  # ``list(...)`` would raise the peak memory
 
     def _kids(self, value: Any) -> tuple[Any, ...]:  # ``children`` as a move's siblings
         return self._spec(value).kids(value)
@@ -189,31 +181,24 @@ class Language:
         spec = self._by_name.get((tag.type_name, tag.ctor_name))
         if spec is None:
             raise RegistrationError(f"unknown constructor {tag.type_name}.{tag.ctor_name}")
-        arity = tag.arity if spec.variadic else len(spec.fields)
+        arity = tag.arity if spec.tag is None else len(spec.fields)
         if len(children) != arity or tag.arity != arity:
             raise RebuildError(
                 f"{tag.ctor_name} takes {arity} children;"
                 f" got tag arity {tag.arity} and {len(children)} children"
             )
-        fields = itertools.repeat(spec.fields[0]) if spec.variadic else spec.fields
-        for f, c in zip(fields, children):
-            self._check_child(spec, f, c)
+        # A variadic constructor's one field is repeated, once per child counted above.
+        for f, child in zip(spec.fields * arity if spec.tag is None else spec.fields, children):
+            kind = type(child)
+            if not (kind is f.typ if f.typ in _LEAF_TYPES else
+                    kind in self._ctors and kind not in _LEAF_TYPES and isinstance(child, f.typ)):
+                raise RebuildError(
+                    f"{spec.cls.__name__}.{f.name} expects {f.typ.__name__}, got {kind.__name__}"
+                )
         try:
-            return spec.cls(tuple(children)) if spec.variadic else spec.cls(*children)
+            return spec.cls(tuple(children)) if spec.tag is None else spec.cls(*children)
         except (TypeError, ValueError) as exc:
             raise RebuildError(f"{tag.ctor_name} rejected its children: {exc}") from exc
-
-    def _check_child(self, spec: _CtorSpec, f: _FieldSpec, child: Any) -> None:
-        if f.leaf:
-            ok = type(child) is f.typ
-        else:
-            kind = type(child)
-            ok = kind in self._ctors and kind not in _LEAF_TYPES and isinstance(child, f.typ)
-        if not ok:
-            raise RebuildError(
-                f"{spec.cls.__name__}.{f.name} expects {f.typ.__name__},"
-                f" got {type(child).__name__}"
-            )
 
 
 def _write_back(focus: Any, z: Zipper) -> tuple[Any, tuple[Any, ...]]:
@@ -399,8 +384,7 @@ _set_focus, _set_lang, _set_above, _set_siblings, _set_index = (
 
 def to_zipper(root: Any, lang: Language) -> Zipper:
     """Focus a zipper on ``root``, with nothing above it."""
-    if not lang.is_registered(root):
-        raise RegistrationError(f"value of unregistered type {type(root).__name__}: {root!r}")
+    lang._spec(root)  # loud when unregistered
     return Zipper(root, lang)
 
 

@@ -6,6 +6,8 @@ states them there."""
 
 from __future__ import annotations
 
+import dataclasses
+
 from zipstrat import letlang as L
 from zipstrat import smells as S
 from zipstrat.lexing import ParseError, TokenStream, describe, tokenize
@@ -253,6 +255,22 @@ def export_ast_recursive(value, lang: Language) -> dict:
         "ctor": tag.ctor_name,
         "children": [export_ast_recursive(c, lang) for c in lang.children(value)],
     }
+
+
+def reference_children(value) -> list:
+    """A node's children read off ``dataclasses.fields``, a variadic field's tuple
+    spliced in (registration admits a tuple field only as ``tuple[T, ...]``); a leaf
+    has none.  Independent of the accessor ``Language.register`` compiles."""
+    if not dataclasses.is_dataclass(value):
+        return []
+    out = []
+    for f in dataclasses.fields(value):
+        child = getattr(value, f.name)
+        if type(child) is tuple:
+            out.extend(child)
+        else:
+            out.append(child)
+    return out
 
 
 def preorder_values(value, lang: Language) -> list:

@@ -16,7 +16,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from generators import let_exps, let_programs, mexps
-from oracles import export_ast_recursive, preorder_values, replace_at
+from oracles import export_ast_recursive, preorder_values, reference_children, replace_at
 from programs import RUNNING, RUNNING_ROOT, minus_source
 from zipstrat.cli import RECURSION_LIMIT
 from zipstrat.letlang import (
@@ -69,7 +69,7 @@ def test_to_zipper_single_node():
 
 
 def test_to_zipper_rejects_unregistered():
-    with pytest.raises(RegistrationError):
+    with pytest.raises(RegistrationError, match=r"^value of unregistered type float: 3\.14$"):
         to_zipper(3.14, LANG)
 
 
@@ -237,6 +237,36 @@ def test_rebuild_rejects_bad_children():
         LANG.rebuild(tag, [Const(1), "nope"])
     with pytest.raises(RegistrationError):
         LANG.rebuild(ConstructorTag("Exp", "Mul", 2), [Const(1), Const(2)])
+    # A variadic tag's arity is checked against the children before anything is sized by it.
+    huge = 10**12
+    with pytest.raises(RebuildError, match=f"^ListLit takes {huge} children;"
+                                           f" got tag arity {huge} and 1 children$"):
+        smells.LANG.rebuild(ConstructorTag("MExp", "ListLit", huge), [smells.IntLit(1)])
+
+
+def test_a_variadic_field_of_leaves_is_rebuilt():
+    @dataclass(frozen=True)
+    class Row:
+        cells: tuple[int, ...]
+
+    @dataclass(frozen=True)
+    class Words:
+        words: tuple[str, ...]
+
+    lang = Language("table")
+    lang.register(Row)
+    lang.register(Words)
+    for value, edit, edited in [
+        (Row((1, 2, 3)), lambda c: c + 10, Row((1, 12, 3))),
+        (Words(("a", "b", "c")), str.upper, Words(("a", "B", "c"))),
+    ]:
+        assert from_zipper(to_zipper(value, lang).child_at(2).trans_m(edit)) == edited
+        assert import_ast(export_ast(value, lang), lang) == value
+        assert import_json(export_json(value, lang), lang) == value
+    with pytest.raises(RebuildError, match=r"^Row\.cells expects int, got bool$"):
+        lang.rebuild(ConstructorTag("Row", "Row", 2), [1, True])
+    with pytest.raises(RebuildError, match=r"^Words\.words expects str, got int$"):
+        lang.rebuild(ConstructorTag("Words", "Words", 1), [1])
 
 
 def test_constructor_tags():
@@ -272,11 +302,16 @@ def test_fixed_arity_tags_are_built_once_and_a_list_literals_tag_reads_its_lengt
 def test_the_compiled_accessor_reads_the_children(tree_and_lang):
     tree, lang = tree_and_lang
     for value in preorder_values(tree, lang):
-        kids = lang._kids(value)
-        assert type(kids) is tuple and kids == tuple(lang.children(value))
+        expected = reference_children(value)
+        kids, listed = lang._kids(value), lang.children(value)
+        assert type(kids) is tuple and kids == tuple(expected)
+        assert type(listed) is list and listed == expected and listed is not lang.children(value)
+        below = to_zipper(value, lang).down_left()
+        listed.reverse()
+        listed.append(None)  # a fresh list: editing it changes neither the node nor a zipper
+        assert lang._kids(value) == kids and lang.children(value) == expected
+        assert below is None or below.siblings == kids
         if kids:  # one tuple for every sibling; a list literal's is its own items
-            below = to_zipper(value, lang).down_left()
-            assert below.siblings == kids
             while (below := below.right()) is not None:
                 assert below.siblings is below.left().siblings
             if isinstance(value, smells.ListLit):
