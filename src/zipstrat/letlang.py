@@ -301,12 +301,12 @@ def _pretty_exp(e: Exp, prec: int) -> str:
 # each declaration, then the enclosing block's env.  Each call keeps nothing,
 # so no tree node holds a zipper of an old version of the tree.
 #
-# The use check and the inlining rule ask only for env's first entry for one
-# name, and read it off the zipper instead (:func:`_binder`): beside the path
-# from the focus up, every level's siblings are the current tree, so it builds
-# no environment and rebuilds nothing stale after a rewrite, except at a use
-# inside its own definition.  The declaration check reads the earlier spine
-# nodes of its block off the same links (:func:`decls`).
+# The checks read a scope index: a dict owned by one analysis call of one
+# unchanged tree, keyed by the zipper at each block level (a ``Let`` or a spine
+# node), whose record holds the block's names with their first declaring nodes
+# and the enclosing block's record (:func:`_scope`).  Inlining needs the current
+# definition in a tree being rewritten, and reads it off the zipper (:func:`_binder`),
+# whose siblings beside the path are the current tree.
 
 Env = list[tuple[Name, Zipper]]
 
@@ -403,54 +403,87 @@ def errors_ag(z: Zipper) -> list[Name]:
 
     Duplicates are reported at the offending re-declaration, missing names
     at the offending use, by the same per-node checks (:func:`uses`,
-    :func:`decls`) as :func:`errors_strategic`.
+    :func:`decls`) as :func:`errors_strategic`, over one scope index per call.
     """
-    node = z.focus
-    if isinstance(node, Root):
-        return errors_ag(z.child_at(1))
-    if isinstance(node, (Let, Add, Sub)):
-        return errors_ag(z.child_at(1)) + errors_ag(z.child_at(2))
-    if isinstance(node, Neg):
-        return errors_ag(z.child_at(1))
-    if isinstance(node, (EmptyList, Const)):
-        return []
-    if isinstance(node, Var):
-        return uses(node, z)
-    if isinstance(node, (Assign, NestedLet)):
-        return decls(node, z) + errors_ag(z.child_at(2)) + errors_ag(z.child_at(3))
-    raise ScopeDomainError(f"errors undefined at {type(node).__name__}")
+    scopes: dict = {}
+
+    def errors(z: Zipper) -> list[Name]:
+        node = z.focus
+        if isinstance(node, Root):
+            return errors(z.child_at(1))
+        if isinstance(node, (Let, Add, Sub)):
+            return errors(z.child_at(1)) + errors(z.child_at(2))
+        if isinstance(node, Neg):
+            return errors(z.child_at(1))
+        if isinstance(node, (EmptyList, Const)):
+            return []
+        if isinstance(node, Var):
+            return uses(node, z, scopes)
+        if isinstance(node, (Assign, NestedLet)):
+            return decls(node, z, scopes) + errors(z.child_at(2)) + errors(z.child_at(3))
+        raise ScopeDomainError(f"errors undefined at {type(node).__name__}")
+
+    return errors(z)
 
 
-def uses(e: Exp, z: Zipper) -> list[Name]:
+def uses(e: Exp, z: Zipper, scopes: dict | None = None) -> list[Name]:
     """Per-node use check: a variable must be bound in its environment.
 
-    ``must_be_in(lexeme(z), env(z))`` in the paper; a use is bound exactly
-    when :func:`_binder` finds the declaration that ``env`` lists first.
+    ``must_be_in(lexeme(z), env(z))`` in the paper: the record of the block whose
+    right-hand side or body holds the use, or of one around it, lists the name.
     """
-    if isinstance(e, Var) and _binder(z, e.name) is None:
-        return [e.name]
-    return []
+    if not isinstance(e, Var):
+        return []
+    while (up := z.above) is not None and not (
+            z.index == 1 and isinstance(up.focus, (Let, Assign, NestedLet))):
+        z = up
+    record = None if up is None else _scope(up, scopes)
+    while record is not None and e.name not in record[0]:
+        record = record[1]
+    return [e.name] if record is None else []
 
 
-def decls(n: List, z: Zipper) -> list[Name]:
+def decls(n: List, z: Zipper, scopes: dict | None = None) -> list[Name]:
     """Per-node declaration check: a name must be fresh at its level.
 
     ``must_not_be_in((lexeme(z), z), dcli(z))`` in the paper, where only the
-    block's own entries share its level: those are the spine nodes that hold
-    the focus in their ``rest`` (index 2), up to the block's first one.
+    block's own entries share its level: the record must list it first for its name.
     """
-    if isinstance(n, (Assign, NestedLet)):
-        while z.index == 2:
-            z = z.above
-            if z.focus.name == n.name:
-                return [n.name]
+    if isinstance(n, (Assign, NestedLet)) and _scope(z, scopes)[0][n.name] is not n:
+        return [n.name]
     return []
 
 
+def _scope(z: Zipper, scopes: dict | None) -> tuple:
+    """The record of the block level ``z`` in ``scopes`` (a fresh index when ``None``):
+    ``(first, outer)``, each name's first declaring node as :func:`_binder` reads the
+    block, and the enclosing block's record.  A level shares the record of the level
+    above while it is that level's current child; an entry holds its zipper."""
+    new, scopes = [], {} if scopes is None else scopes
+    while (entry := scopes.get(id(z))) is None:
+        new.append(z)
+        if isinstance(z.focus, Let) or z.above is None or z.focus is not z.siblings[z.index]:
+            spine = z.focus.decls if isinstance(z.focus, Let) else z.focus
+            first, level = {d.name: d for d in reversed(_decl_nodes(spine))}, z
+            while not isinstance(level.focus, Let) and level.above is not None:
+                level = level.above  # up the spine to its ``Let``
+                if not isinstance(level.focus, Let):
+                    first[level.focus.name] = level.focus
+            nested = (up := level.above) is not None and isinstance(up.focus, NestedLet)
+            entry = z, (first, _scope(up, scopes) if nested else None)
+            break
+        z = z.above
+    for level in new:
+        scopes[id(level)] = level, entry[1]
+    return entry[1]
+
+
 def errors_strategic(z: Zipper) -> list[Name]:
-    """The same error list as :func:`errors_ag`, with the copy rules replaced
-    by a single top-down type-unifying traversal."""
-    step = adhoc_tuz(adhoc_tuz(fail_tu(), Exp, uses), List, decls)
+    """The same error list as :func:`errors_ag`, with the copy rules replaced by one
+    top-down type-unifying traversal whose rules share a scope index and fail at no error."""
+    scopes: dict = {}
+    step = adhoc_tuz(adhoc_tuz(fail_tu(), Exp, lambda e, z: uses(e, z, scopes) or None),
+                     List, lambda n, z: decls(n, z, scopes) or None)
     return apply_tu(full_td_tu(step), z)
 
 
@@ -518,18 +551,15 @@ def exp_c(e: Exp, z: Zipper) -> Exp | None:
 
 
 def _binder(z: Zipper, name: Name) -> Assign | NestedLet | None:
-    """The declaration of ``name`` that ``env(z)`` finds first, without building a zipper.
+    """The declaration of ``name`` that ``env(z)`` finds first; only :func:`exp_c` asks.
 
-    Walks the ``above`` links from the focus.  At every level the parent's
-    children beside the path are the current tree (``siblings`` are the
-    children of ``above.focus``; only the slot on the path can be stale), so
-    a spine node reached from its right-hand side is, with its ``rest``, the
-    block's declarations from there on, a ``Let`` reached from its body sees
-    its whole spine, and a spine node reached from its ``rest`` is an earlier
-    declaration.  The first hit up the links is ``env``'s: innermost block
-    first, latest declaration first.  A use inside its own definition climbs
-    to that definition with :meth:`~Zipper.parent`, the one walk here that
-    rebuilds.
+    Walks the ``above`` links from the focus.  Beside the path every level's
+    children are the current tree (only the slot on the path can be stale), so
+    a spine node reached from its right-hand side holds, with its ``rest``, the
+    block's later declarations, a ``Let`` reached from its body its whole spine,
+    and one reached from its ``rest`` an earlier one: innermost block first,
+    latest declaration first.  A use inside its own definition climbs to it
+    with :meth:`~Zipper.parent`, the one walk here that rebuilds.
     """
     level = z
     while (above := level.above) is not None:

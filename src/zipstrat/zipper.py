@@ -132,19 +132,24 @@ class Language:
         specs = []
         for f in dataclasses.fields(cls):
             ann = hints[f.name]
-            if typing.get_origin(ann) is tuple:
+            variadic = typing.get_origin(ann) is tuple
+            if variadic:
                 args = typing.get_args(ann)
                 if len(args) != 2 or args[1] is not Ellipsis or not isinstance(args[0], type):
                     raise RegistrationError(
                         f"{cls.__name__}.{f.name}: only tuple[T, ...] children are supported"
                     )
-                specs.append(_FieldSpec(f.name, args[0], variadic=True))
-            elif isinstance(ann, type):
-                specs.append(_FieldSpec(f.name, ann, variadic=False))
-            else:
+                ann = args[0]
+            elif not isinstance(ann, type):
                 raise RegistrationError(
                     f"{cls.__name__}.{f.name}: unsupported field annotation {ann!r}"
                 )
+            if ann.__module__ == "builtins" and ann not in _LEAF_TYPES:
+                # No language can register a built-in class, so no child of it could be read.
+                raise RegistrationError(
+                    f"{cls.__name__}.{f.name}: {ann.__name__} is not a leaf type (bool, int, str)"
+                )
+            specs.append(_FieldSpec(f.name, ann, variadic))
         return tuple(specs)
 
     def is_registered(self, value: Any) -> bool:

@@ -42,12 +42,15 @@ def _spine(decls: list[tuple[str, L.Exp | L.Let]]) -> L.List:
     return spine
 
 
-def random_program(rng: random.Random, depth: int = 4) -> L.Root:
-    """Arbitrary programs: duplicates, shadowing, and unbound names all possible."""
+def random_program(rng: random.Random, depth: int = 4, max_decls: int = 3) -> L.Root:
+    """Arbitrary programs: duplicates, shadowing, and unbound names all possible.
+
+    Each block has 1 to ``max_decls`` declarations.
+    """
 
     def block(d: int) -> L.Let:
         decls: list[tuple[str, L.Exp | L.Let]] = []
-        for _ in range(rng.randint(1, 3)):
+        for _ in range(rng.randint(1, max_decls)):
             name = rng.choice(NAME_POOL)
             if d > 1 and rng.random() < 0.3:
                 decls.append((name, block(d - 1)))
@@ -178,9 +181,12 @@ let_exps = st.recursive(
 
 
 @st.composite
-def let_programs(draw, max_depth: int = 3) -> L.Root:
+def let_programs(draw, max_depth: int = 3, max_decls: int = 3) -> L.Root:
+    """Arbitrary programs, each block with 1 to ``max_decls`` declarations named from
+    ``NAME_POOL``, so duplicates, shadowing and unbound names all occur."""
+
     def block(depth: int) -> L.Let:
-        n = draw(st.integers(1, 3))
+        n = draw(st.integers(1, max_decls))
         decls: list[tuple[str, L.Exp | L.Let]] = []
         for _ in range(n):
             name = draw(st.sampled_from(NAME_POOL))

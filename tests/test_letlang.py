@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from counting import line_events
 from generators import NAME_POOL, let_programs, random_program, random_wellscoped_program
 from oracles import (
     dcli_spec,
@@ -565,6 +566,15 @@ def test_scope_checks_move_up_a_constant_number_of_times(monkeypatch):
     assert calls["up"] <= 5 * n
 
 
+@pytest.mark.parametrize("analysis", [errors_strategic, errors_ag])
+def test_scope_checks_run_a_flat_block_in_linear_steps(analysis):
+    # Counted, not timed: four times the declarations may cost at most 4.5 times
+    # the lines run in letlang.  Climbing past the earlier declarations, or
+    # scanning the later ones, at every declaration cost about fifteen times.
+    small, large = (line_events(letlang, analysis, root_zipper(flat_block(n))) for n in (200, 800))
+    assert large <= 4.5 * small
+
+
 def test_a_block_reached_through_an_equal_deep_path_gets_its_own_sites():
     # Zippers are linked through ``above``, so comparing two equal ones must walk
     # the links: comparing the ``above`` zippers would recurse once per level.
@@ -783,6 +793,39 @@ def test_checks_match_the_equations_on_a_block_shared_at_two_levels(root):
 def test_errors_agree_generated(root):
     z = root_zipper(root)
     assert errors_ag(z) == errors_strategic(z)
+
+
+#: Blocks of up to 40 declarations from ``NAME_POOL``: every name is declared in
+#: most blocks, often twice, so duplicates and shadowing fill them, and the scope
+#: index shares one record across many levels of one block.  An example checks
+#: thousands of positions, so these properties draw fewer of them.
+LONG_BLOCKS = let_programs(max_depth=2, max_decls=40)
+
+
+@settings(max_examples=10, deadline=None)
+@given(LONG_BLOCKS)
+def test_checks_match_the_equations_in_long_blocks(root):
+    test_checks_match_the_equations.hypothesis.inner_test(root)
+
+
+@settings(max_examples=10, deadline=None)
+@given(LONG_BLOCKS, st.data())
+def test_checks_match_the_equations_below_a_stale_path_in_long_blocks(root, data):
+    test_checks_match_the_equations_below_a_stale_path.hypothesis.inner_test(root, data)
+
+
+@settings(max_examples=10, deadline=None)
+@given(LONG_BLOCKS)
+def test_checks_match_the_equations_on_a_block_shared_at_two_levels_in_long_blocks(root):
+    test_checks_match_the_equations_on_a_block_shared_at_two_levels.hypothesis.inner_test(root)
+
+
+def test_errors_agree_with_the_walk_in_long_blocks():
+    rng = random.Random(404040)
+    for _ in range(60):
+        root = random_program(rng, depth=rng.randint(1, 3), max_decls=40)
+        z = root_zipper(root)
+        assert errors_ag(z) == errors_strategic(z) == scope_errors_walk(root)
 
 
 # -- names ---------------------------------------------------------------------------

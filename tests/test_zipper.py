@@ -357,6 +357,28 @@ def test_register_rejects_duplicates_and_nondataclasses():
             lang.register(base, cls)
 
 
+def test_register_rejects_a_field_of_a_built_in_class_that_is_not_a_leaf():
+    # No language can register a float, so a zipper could move onto one that
+    # nothing can read: registration says so, not a later export.
+    @dataclass(frozen=True)
+    class Point:
+        x: float
+
+    @dataclass(frozen=True)
+    class Samples:
+        values: tuple[float, ...]
+
+    @dataclass(frozen=True)
+    class Anything:
+        value: object
+
+    lang = Language("tiny")
+    for cls, field in [(Point, "x"), (Samples, "values"), (Anything, "value")]:
+        with pytest.raises(RegistrationError, match=rf"^{cls.__name__}\.{field}: "):
+            lang.register(cls)
+        assert not lang.is_registered(cls.__new__(cls))
+
+
 # -- deep paths -------------------------------------------------------------------
 
 
