@@ -10,14 +10,14 @@ Subcommands::
 
 One function, :func:`_run_command`, reads and parses the input, hands the tree to
 the subcommand's handler (one library call each) and prints what it returns.
-Input, from a file or standard input, must be UTF-8.  Exit codes: 0 success,
-1 syntax error, unreadable input or output that cannot be written (a closed
-pipe or standard stream, or text the output encoding cannot represent), 2 scope
-errors, 3 rewrite budget exhausted, 4 input nested too deeply (a let expression
-past ``lexing.MAX_DEPTH`` pending parentheses and operators, or a smell expression
-past ``MAX_DEPTH`` nested brackets, applications and ifs, each reported with its
-line:col, or any tree past the Python stack), 5 usage error (a bad option or
-argument), 6 out of memory.
+Input, from a file or standard input, must be UTF-8; a leading byte-order mark is
+dropped.  Exit codes: 0 success, 1 syntax error, unreadable input or output that
+cannot be written (a closed pipe or standard stream, or text the output encoding
+cannot represent), 2 scope errors, 3 rewrite budget exhausted, 4 input nested too
+deeply (a let expression past ``lexing.MAX_DEPTH`` pending parentheses and
+operators, or a smell expression past ``MAX_DEPTH`` nested brackets, applications
+and ifs, each reported with its line:col, or any tree past the Python stack), 5
+usage error (a bad option or argument), 6 out of memory.
 Diagnostics go to standard error, one line each (see :func:`run`, which the demo uses too).
 """
 
@@ -65,8 +65,8 @@ def _read_input(path: str) -> str:
         stdin = sys.stdin
         if stdin is None:
             raise OSError("cannot read input: standard input is closed")
-        return stdin.buffer.read().decode("utf-8") if hasattr(stdin, "buffer") else stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
+        return stdin.buffer.read().decode("utf-8-sig") if hasattr(stdin, "buffer") else stdin.read()
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return handle.read()
 
 

@@ -43,66 +43,72 @@ Name = str
 
 class Exp:
     """Integer expressions."""
+    __slots__ = ("__weakref__",)  # every node class is slotted; 3.10 has no ``weakref_slot``
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Add(Exp):
     left: Exp
     right: Exp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sub(Exp):
     left: Exp
     right: Exp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Neg(Exp):
     operand: Exp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Exp):
     name: Name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const(Exp):
     value: int
 
 
 class List:
     """A right-nested spine of declarations, terminated by :class:`EmptyList`."""
+    __slots__ = ("__weakref__",)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assign(List):
     name: Name
     exp: Exp
     rest: List
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NestedLet(List):
     name: Name
     let: Let
     rest: List
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EmptyList(List):
     pass
 
 
-@dataclass(frozen=True)
-class Let:
+class _Node:  # the base of Let and Root, for the weak-reference slot
+    __slots__ = ("__weakref__",)
+
+
+@dataclass(frozen=True, slots=True)
+class Let(_Node):
     decls: List
     body: Exp
 
 
-@dataclass(frozen=True)
-class Root:
+@dataclass(frozen=True, slots=True)
+class Root(_Node):
     """Top wrapper so the outermost block has a parent without inherited context."""
 
     let: Let

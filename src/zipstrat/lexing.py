@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from typing import Iterable, NamedTuple, NoReturn
+from typing import Iterable, Iterator, NamedTuple, NoReturn
 
 
 class ParseError(ValueError):
@@ -46,8 +46,8 @@ def tokenize(
     keywords: frozenset[str] = frozenset(),
     keep_newlines: bool = False,
     signed_ints: bool = False,
-) -> list[Token]:
-    """Split ``text`` into tokens; symbols are matched longest-first.
+) -> _Tokens:
+    """The tokens of ``text``, scanned lazily; symbols are matched longest-first.
 
     Blanks are space, tab, carriage return and, unless ``keep_newlines``,
     newline.  With ``signed_ints`` a ``-`` directly followed by digits lexes
@@ -60,22 +60,33 @@ def tokenize(
         rf"{blanks}(?:(?P<newline>\n)|(?P<int>{sign}\d+)|(?P<name>\w+)|(?P<op>{ops})"
         r"|(?P<eof>\Z)|(?P<bad>.))"
     )
-    toks: list[Token] = []
-    new = tuple.__new__  # a Token without the Python frame of its constructor
-    for m in re.finditer(pattern, text):
-        group = m.lastindex
-        kind, word, pos = _KINDS[group], m[group], m.start(group)
-        if kind == "name":
-            if word in keywords:
-                kind = "keyword"
-            elif not (word[0].isalpha() or word[0] == "_"):
-                kind, word = "bad", word[0]  # a numeral that is no decimal digit, such as '½'
-        if kind == "bad":
-            raise _error(text, pos, f"unexpected character {word!r}")
-        toks.append(new(Token, (kind, word, pos)))
-        if kind == "eof":  # after trailing blanks the end would match again, empty
-            break
-    return toks
+    return _Tokens(text, pattern, keywords)
+
+
+class _Tokens:
+    """A text's tokens, scanned anew by each iteration; ``len`` counts them and keeps none."""
+
+    def __init__(self, text: str, pattern: str, keywords: frozenset[str]):
+        self.text, self.pattern, self.keywords = text, pattern, keywords
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+    def __iter__(self) -> Iterator[Token]:
+        text, keywords, new = self.text, self.keywords, tuple.__new__  # ``new``: no Token frame
+        for m in re.finditer(self.pattern, text):
+            group = m.lastindex
+            kind, word, pos = _KINDS[group], m[group], m.start(group)
+            if kind == "name":
+                if word in keywords:
+                    kind = "keyword"
+                elif not (word[0].isalpha() or word[0] == "_"):
+                    kind, word = "bad", word[0]  # a numeral that is no decimal digit, such as '½'
+            if kind == "bad":
+                raise _error(text, pos, f"unexpected character {word!r}")
+            yield new(Token, (kind, word, pos))
+            if kind == "eof":  # after trailing blanks the end would match again, empty
+                return
 
 
 def describe(tok: Token) -> str:
@@ -87,23 +98,23 @@ def describe(tok: Token) -> str:
 
 
 class TokenStream:
-    """Cursor over a token list with loud, positioned failures."""
+    """Cursor one token ahead in a lazy token stream: a bad character fails only when reached."""
 
-    def __init__(self, tokens: list[Token], text: str):
-        self._toks = tokens
+    def __init__(self, tokens: Iterable[Token], text: str):
+        self._next = iter(tokens).__next__
         self._text = text
-        self._pos = 0
         self.parens = 0  # open parentheses; while positive, advance skips newlines
+        self._tok = self._next()
 
     def peek(self) -> Token:
-        return self._toks[self._pos]
+        return self._tok
 
     def advance(self) -> Token:
-        tok = self._toks[self._pos]
+        tok = self._tok
         if tok.kind != "eof":
-            self._pos += 1
-            while self.parens and self._toks[self._pos].kind == "newline":
-                self._pos += 1
+            self._tok = self._next()
+            while self.parens and self._tok.kind == "newline":
+                self._tok = self._next()
         return tok
 
     def at(self, kind: str, text: str | None = None) -> bool:
@@ -121,12 +132,14 @@ class TokenStream:
 
         ``int()`` refuses literals longer than the interpreter's digit limit.
         """
-        tok = self.advance()
+        tok = self.peek()
         try:
-            return int(tok.text)
+            value = int(tok.text)
         except ValueError:
             shown = repr(tok.text) if len(tok.text) <= 20 else f"of {len(tok.text)} characters"
             raise _error(self._text, tok.pos, f"invalid integer literal {shown}") from None
+        self.advance()  # after the check, so a bad character behind the literal comes second
+        return value
 
     def skip_newlines(self) -> None:
         while self.at("newline"):

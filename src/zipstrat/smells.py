@@ -24,14 +24,15 @@ Name = str
 
 class MExp:
     """Mini expressions: variables, literals, lists, a few infixes, application, if."""
+    __slots__ = ("__weakref__",)  # every node class is slotted; 3.10 has no ``weakref_slot``
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(MExp):
     name: Name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntLit(MExp):
     value: int
 
@@ -40,7 +41,7 @@ class IntLit(MExp):
             raise TypeError("IntLit holds ints; use BoolLit for booleans")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoolLit(MExp):
     value: bool
 
@@ -49,7 +50,7 @@ class BoolLit(MExp):
             raise TypeError("BoolLit holds booleans")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ListLit(MExp):
     items: tuple[MExp, ...]
 
@@ -61,7 +62,7 @@ _INFIX = {"==": 1, ":": 2, "++": 2}
 _IF_PREC, _APP_PREC, _ATOM_PREC = 0, 3, 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Infix(MExp):
     op: str
     left: MExp
@@ -72,13 +73,13 @@ class Infix(MExp):
             raise ValueError(f"unknown operator {self.op!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call(MExp):
     fn: Name
     arg: MExp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class If(MExp):
     cond: MExp
     then: MExp
@@ -134,10 +135,10 @@ def _parse_exp(p: TokenStream, power: int = 0) -> MExp:
     elif tok.text in ("True", "False"):
         left = BoolLit(p.advance().text == "True")
     elif tok.text in ("(", "[") or (tok.text == "if" and power == 0):
-        p.advance()
         p.parens += 1  # open up to the closing bracket or the else-branch, which goes uncounted
         if p.parens > MAX_DEPTH:
             p.too_deep(tok, _NESTS)
+        p.advance()
         if tok.text == "if":
             cond = _parse_exp(p)
             p.expect("keyword", "then")

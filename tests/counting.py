@@ -1,8 +1,9 @@
-"""Work counters for complexity guards: what a call does, counted rather than timed."""
+"""Work and memory counters for complexity guards: what a call does, counted rather than timed."""
 
 from __future__ import annotations
 
 import sys
+import tracemalloc
 from types import ModuleType
 from typing import Any, Callable
 
@@ -31,3 +32,21 @@ def line_events(module: ModuleType, fn: Callable[..., Any], *args: Any) -> int:
     finally:
         sys.settrace(previous)
     return count
+
+
+def peak_bytes(fn: Callable[..., Any], *args: Any) -> tuple[int, int]:
+    """The most bytes that ``fn(*args)`` holds at once while it runs, and the bytes
+    that its result still holds when it returns, as ``tracemalloc`` counts them.
+
+    Only blocks allocated during the call count, so a cache that the call fills
+    for the first time (a compiled regular expression) counts as held by its
+    result: warm such caches first.  Like ``line_events``, a count does not move
+    with the machine's load.
+    """
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, held

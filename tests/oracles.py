@@ -92,9 +92,9 @@ class PlainTokenStream(TokenStream):
     """The token stream the let parser read those filtered tokens from: it skips nothing."""
 
     def advance(self):
-        tok = self._toks[self._pos]
+        tok = self._tok
         if tok.kind != "eof":
-            self._pos += 1
+            self._tok = self._next()
         return tok
 
 

@@ -304,6 +304,38 @@ def test_invalid_utf8_on_stdin_reports_error(capsys, tmp_path):
     assert "can't decode" in from_file
 
 
+@pytest.mark.parametrize("via", ["file", "stdin"])
+def test_a_byte_order_mark_is_dropped(capsys, monkeypatch, tmp_path, via):
+    # As Windows Notepad saves UTF-8; line 1's columns count from after the mark.
+    def run_bytes(argv, data):
+        if via == "stdin":
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+            return run(capsys, argv)
+        path = tmp_path / "input.txt"
+        path.write_bytes(data)
+        return run(capsys, [*argv, "--input", str(path)])
+
+    mark = "\ufeff".encode()
+    assert run_bytes(["let", "pretty"], mark + b"let a = 1 in a") == (0, "let a = 1\nin a\n", "")
+    assert run_bytes(["smell", "fix"], mark + b"[x] ++ y") == (0, "x : y\n", "")
+    assert run_bytes(["let", "pretty"], mark + b"let a = ) in a") == (
+        1, "", "syntax error: 1:9: expected an expression, found ')'\n")
+
+
+@pytest.mark.parametrize("argv, text, code, err", [
+    (["let", "pretty"], "let a = ) $", 1, "syntax error: 1:9: expected an expression, found ')'"),
+    (["smell", "fix"], "[1, ) $", 1, "syntax error: 1:5: expected an expression, found ')'"),
+    (["let", "pretty"], "let a = " + "9" * 5_000 + " $", 1,
+     "syntax error: 1:9: invalid integer literal of 5000 characters"),
+    (["smell", "fix"], "[" * (MAX_DEPTH + 1) + "$", 4, "input nested too deeply: "
+     f"1:{MAX_DEPTH + 1}: more than {MAX_DEPTH} nested brackets, applications and ifs"),
+], ids=["let", "smell", "let-literal", "smell-depth"])
+def test_an_error_is_reported_before_a_later_bad_character(capsys, source_file,
+                                                           argv, text, code, err):
+    # The parsers read one token ahead, so errors come in reading order.
+    assert run(capsys, [*argv, "--input", source_file(text)]) == (code, "", err + "\n")
+
+
 def test_closed_stdin_exits_1_in_one_line(capsys, monkeypatch):
     # Python sets ``sys.stdin`` to None when it starts with descriptor 0 closed.
     monkeypatch.setattr(sys, "stdin", None)

@@ -42,7 +42,7 @@ from programs import (
     RUNNING_SOURCE,
     RUNNING_VALUE,
 )
-from zipstrat import letlang
+from zipstrat import letlang, smells
 from zipstrat.letlang import (
     LANG,
     Add,
@@ -467,6 +467,23 @@ def test_an_optimized_copy_does_not_keep_the_checked_tree_alive():
     gc.collect()
     assert original() is None
     assert pretty(out) == "let w = let c = let d = 1\n    in 2\n  in c\n  a = 3\nin 3 + w"
+
+
+@pytest.mark.parametrize("lang, parse, text", [
+    (LANG, parse, "let a = -(1 + b) - 2; c = let d = 1 in d in a"),
+    (smells.LANG, smells.parse_m, "if f x == True then [1] ++ y : z else False"),
+], ids=["let", "smell"])
+def test_no_node_class_can_store_state(lang, parse, text):
+    # The rule of the next test, kept by the language itself: a node has no
+    # ``__dict__``, only its fields and a weak-reference slot.
+    leaves = (bool, int, str)
+    nodes = {type(v): v for v in preorder_values(parse(text), lang) if type(v) not in leaves}
+    assert set(nodes) == {cls for cls in lang._ctors if cls not in leaves}
+    for node in nodes.values():
+        assert not hasattr(node, "__dict__")
+        assert weakref.ref(node)() is node
+        with pytest.raises(AttributeError):
+            object.__setattr__(node, "memo", 1)
 
 
 def test_no_module_stores_state_on_tree_nodes():
